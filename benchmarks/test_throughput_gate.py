@@ -9,7 +9,9 @@ on the same runner, in the same process, right before the measurement**:
 
 * the scheduler gate is floored against a raw ``heapq`` push/pop loop —
   the primitive the calendar queue replaced.  The optimized kernel runs
-  a full generator-process timeout cycle at ~1/2.5 the raw-heap rate;
+  a full generator-process timeout cycle at a median 0.312 (1/3.2) of
+  the raw-heap rate, quartiles 0.295-0.338 (``perfbench``'s
+  ``sim.events_per_heapq_op`` on a 2-vCPU shared Xeon VM);
   the floor sits at 1/10, so the pre-optimization kernel (~10x slower
   end to end) trips it on any hardware while a 2-3x-loaded runner does
   not.
@@ -48,9 +50,9 @@ from repro.workloads import ClientContext, rma_read_throughput
 from test_fig5_throughput import SIZES as FIG5_SIZES
 
 #: scheduler floor: fraction of the raw-heapq reference rate the full
-#: simulator must clear.  Measured ~1/2.5 on the optimized kernel
-#: (e.g. 330k events/s against an 850k/s reference); the pre-calendar
-#: kernel ran ~1/25.
+#: simulator must clear.  Measured median 0.312 (1/3.2, quartiles
+#: 0.295-0.338) on the optimized kernel; the pre-calendar kernel ran
+#: ~1/25.
 EVENTS_HEAP_RATIO_FLOOR = 1 / 10
 
 #: Fig 5 floor, CPU leg: guest bytes per raw-heapq-op-equivalent.

@@ -6,10 +6,8 @@
     python -m repro dgemm --n 2000 --threads 112 [--vm]
     python -m repro stream --n 20000000 --iters 10 [--vm]
     python -m repro trace [--out vphi_trace.json] [--check]
-    python -m repro qos [--plan plan.json] [--check] [--assert-jain 0.95]
-    python -m repro cluster [--hosts 2] [--cards 1] [--churn] [--check]
+    python -m repro qos [--plan plan.json] [--policy wfq] [--out slo.txt]
     python -m repro pepc [--card 0|--core 0-3|--vm] [--pstate 2] [--tdp 200]
-    python -m repro profile fig5 [--top 25] [--out fig5.pstats]
 
 Every command builds the paper's testbed (one 3120P), runs the workload
 deterministically, and prints the measured series.
@@ -154,15 +152,14 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_qos(args) -> int:
-    """Run (or just validate) an open-loop multi-tenant QoS plan.
+    """Run an open-loop multi-tenant QoS plan and print its SLO report.
 
     With ``--plan FILE`` the plan comes from JSON; otherwise a built-in
     oversubscription smoke plan is generated from ``--tenants`` /
-    ``--policy`` / ``--oversub``.  ``--check`` validates the plan file,
-    runs it, asserts the harness conservation invariant (every arrival
-    got a typed completion: done, shed, or error), and exits non-zero
-    on any violation — the qos-smoke CI step is exactly this command
-    plus ``--assert-jain`` / ``--assert-shed``.
+    ``--policy`` / ``--oversub``.  Exits 1 on an invalid plan and on a
+    conservation violation (an arrival without exactly one typed
+    completion, or leaked arbiter credits): conservation is the
+    harness's invariant, so every run checks it.
     """
     from .analysis import qos_stats, render_qos
     from .traffic import TrafficPlan, run_plan
@@ -180,190 +177,21 @@ def _cmd_qos(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"FAIL invalid plan: {exc}", file=sys.stderr)
         return 1
-    if args.check:
-        for line in plan_check(plan):
-            print(line)
-        print()
+    for line in plan_check(plan):
+        print(line)
+    print()
     result = run_plan(plan)
-    report = qos_stats(result)
-    rendered = render_qos(report, limit=args.limit)
+    rendered = render_qos(qos_stats(result), limit=args.limit)
     print(rendered)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(rendered + "\n")
         print(f"\nwrote SLO report to {args.out}")
-    failures = []
-    if args.check:
-        try:
-            result.check_conservation()
-        except AssertionError as exc:
-            failures.append(str(exc))
-    if args.assert_jain is not None and report.weighted_jain < args.assert_jain:
-        failures.append(
-            f"weighted Jain's index {report.weighted_jain:.4f} "
-            f"< required {args.assert_jain}"
-        )
-    if args.assert_shed and report.total_shed == 0:
-        failures.append(
-            "admission control shed nothing despite oversubscription"
-        )
-    if failures:
-        print()
-        for f in failures:
-            print(f"FAIL {f}", file=sys.stderr)
+    try:
+        result.check_conservation()
+    except AssertionError as exc:
+        print(f"\nFAIL {exc}", file=sys.stderr)
         return 1
-    if args.check:
-        print("\nok: plan valid, every arrival got a typed completion")
-    return 0
-
-
-def _cmd_cluster(args) -> int:
-    """Run a small cluster scenario: place, load, live-migrate, churn.
-
-    Boots ``--hosts`` x ``--cards`` machines, places ``--vms`` echo
-    tenants by the ``--placement`` policy, exchanges traffic, then
-    live-migrates the first tenant to a scheduler-picked destination
-    mid-stream (and, with ``--churn``, hot-unplugs its new card so the
-    scheduler has to move it again).  Prints placements and the
-    migration report.  ``--check`` asserts the run's invariants —
-    migration landed (session ACTIVE on the destination, traffic
-    resumed, no stale arbiter state on the source) — and exits
-    non-zero on any violation; the cluster-smoke CI step is exactly
-    ``python -m repro cluster --check``.
-    """
-    from .analysis.cluster import render_migration
-    from .cluster import Cluster
-    from .scif.errors import ECONNRESET, ENOTCONN
-    from .vphi import VPhiConfig
-
-    cl = Cluster(hosts=args.hosts, cards_per_host=args.cards,
-                 placement=args.placement)
-    cl.boot()
-    PORT = 3000
-
-    def spawn_peer(ref):
-        m = cl.machine(ref)
-        lib = m.scif(m.card_process(f"peer-{ref}", card=ref.card))
-
-        def echo(conn):
-            try:
-                while True:
-                    data = yield from lib.recv(conn, 64)
-                    yield from lib.send(conn, data.tobytes()[::-1])
-            except (ECONNRESET, ENOTCONN):
-                return  # tenant migrated away or closed
-
-        def server():
-            ep = yield from lib.open()
-            yield from lib.bind(ep, PORT)
-            yield from lib.listen(ep)
-            # concurrent accept loop: a migrated-in tenant must not wait
-            # behind an idle resident connection
-            n = 0
-            while True:
-                conn, _ = yield from lib.accept(ep)
-                cl.sim.spawn(echo(conn), name=f"echo-{ref}-{n}")
-                n += 1
-
-        cl.sim.spawn(server(), name=f"peer-{ref}")
-
-    for ref in cl.cards:
-        spawn_peer(ref)
-
-    cfg = VPhiConfig(recovery_policy="queue", backend_workers=2)
-    vms, echoes = [], {}
-    for i in range(args.vms):
-        vms.append(cl.create_vm(f"vm{i}", vphi_config=cfg,
-                                arbiter_policy="wfq"))
-
-    def tenant(vm, rounds=6):
-        lib = vm.vphi.libscif(vm.guest_process("load"))
-        ep = yield from lib.open()
-        ref = cl.placement_of(vm.name)
-        yield from lib.connect(ep, (cl.node_of(ref), PORT))
-        payload = bytes(range(64))
-        n = 0
-        for _ in range(rounds):
-            try:
-                yield from lib.send(ep, payload)
-                got = (yield from lib.recv(ep, 64)).tobytes()
-                if got == payload[::-1]:
-                    n += 1
-            except (ECONNRESET, ENOTCONN):
-                break
-            yield cl.sim.timeout(2e-3)
-        echoes[vm.name] = n
-
-    for vm in vms:
-        cl.sim.spawn(tenant(vm), name=f"load-{vm.name}")
-
-    def director():
-        yield cl.sim.timeout(4e-3)  # mid-stream
-        yield from cl.migrate(vms[0])
-        if args.churn:
-            yield cl.sim.timeout(2e-3)
-            ref = cl.placement_of(vms[0].name)
-            yield from cl.hot_unplug(ref.host, ref.card)
-
-    cl.sim.spawn(director(), name="director")
-    cl.run(until=1.0)
-
-    for name, ref in sorted(cl.placements.items()):
-        print(f"  {name:<8} on {ref}  "
-              f"echoes={echoes.get(name, 0)}")
-    print()
-    print(render_migration(cl))
-
-    if not args.check:
-        return 0
-    failures = []
-    want_migrations = 2 if args.churn else 1
-    if len(cl.migrations) != want_migrations:
-        failures.append(
-            f"expected {want_migrations} migrations, saw {len(cl.migrations)}"
-        )
-    for rep in cl.migrations:
-        if rep.broken:
-            failures.append(f"migration of {rep.vm} broke the session")
-        if rep.replayed_ops < 2:
-            failures.append(
-                f"migration of {rep.vm} replayed only {rep.replayed_ops} ops"
-            )
-        if rep.downtime <= 0:
-            failures.append(f"migration of {rep.vm} reports zero downtime")
-    if cl.evicted:
-        failures.append(f"VMs evicted: {cl.evicted}")
-    for vm in vms:
-        ses = vm.vphi.frontend.session
-        if ses.state != "active":
-            failures.append(f"{vm.name} session is {ses.state}, not active")
-        if vm.vphi.frontend._inflight:
-            failures.append(f"{vm.name} stranded in-flight tags")
-        if echoes.get(vm.name, 0) < 6:
-            failures.append(
-                f"{vm.name} completed {echoes.get(vm.name, 0)}/6 echoes"
-            )
-    migrated = vms[0].name
-    src = cl.migrations[-1].source if cl.migrations else None
-    if src is not None and src != cl.placements.get(migrated):
-        arb = cl.machine(src).arbiter_for(src.card)
-        if migrated in arb._queues or migrated in arb._finish:
-            failures.append(
-                f"source arbiter {arb.name} kept stale state for {migrated}"
-            )
-    for m in cl.machines:
-        for arb in m.card_arbiters.values():
-            if arb.free != arb.slots:
-                failures.append(
-                    f"{arb.name} leaked credits: free={arb.free} "
-                    f"slots={arb.slots}"
-                )
-    if failures:
-        print()
-        for f in failures:
-            print(f"FAIL {f}", file=sys.stderr)
-        return 1
-    print("\nok: migration landed, sessions active, arbiters clean")
     return 0
 
 
@@ -402,147 +230,16 @@ def _render_pepc(rows) -> str:
     return "\n".join(lines)
 
 
-def _pepc_check() -> int:
-    """The pepc-smoke conformance scenario: drive the closed throttle
-    loop end to end and assert its contract.  Exit 1 on any violation."""
-    from .analysis import power_stats
-    from .phi import PowerConfig, Scope
-    from .sim import SimError
-    from .system import Machine
-
-    failures: list[str] = []
-    FLOPS, THREADS = 4e11, 224
-
-    def dgemm_run(machine, probe_at=None, probe_out=None):
-        uos = machine.uos(0)
-        out = {}
-
-        def drive():
-            job = yield from uos.run_compute(FLOPS, THREADS, efficiency=0.8,
-                                             name="dgemm")
-            out["t"] = job.finished_at - job.started_at
-
-        if probe_at is not None:
-            def probe():
-                yield machine.sim.timeout(probe_at)
-                power = machine.devices[0].power
-                power.refresh()
-                probe_out["watts"] = power.power_watts()
-                probe_out["khz"] = int(
-                    machine.devices[0].sysfs_attrs()["cores_frequency"])
-
-            machine.sim.spawn(probe(), name="pepc-probe")
-        machine.sim.spawn(drive(), name="pepc-drive")
-        machine.run()
-        return out["t"]
-
-    # 1. baseline: default cap never throttles; sysfs is kHz and live
-    m = Machine(cards=1, power_model="knc").boot()
-    dev = m.devices[0]
-    khz = int(dev.sysfs_attrs()["cores_frequency"])
-    if khz != int(dev.sku.clock_hz / 1e3):
-        failures.append(f"sysfs cores_frequency {khz} != SKU kHz at P0")
-    t_base = dgemm_run(m)
-    if dev.power.throttled_time > 0:
-        failures.append("throttled at the default (SKU TDP) cap")
-    print(f"baseline dgemm: {t_base:.6f} s at P0, no throttle")
-
-    # 2. P-state monotonicity: deeper requested state => slower, never faster
-    times = [t_base]
-    for pstate in (2, len(dev.power.pstates) - 1):
-        mp = Machine(cards=1, power_model="knc").boot()
-        mp.pepc().set_pstate(pstate, Scope.one_card(0))
-        times.append(dgemm_run(mp))
-    if not (times[0] < times[1] < times[2]):
-        failures.append(f"P-state ladder not monotone: {times}")
-    print(f"pstate sweep dgemm: {['%.6f' % t for t in times]}")
-
-    # 3. TDP cap: converges under the cap with nonzero throttle residency
-    mc = Machine(cards=1, power_model="knc").boot()
-    mc.pepc().set_tdp(210.0, Scope.one_card(0))
-    mid = {}
-    t_cap = dgemm_run(mc, probe_at=0.3, probe_out=mid)
-    power = mc.devices[0].power
-    report = power_stats(mc)
-    if power.throttled_time <= 0:
-        failures.append("210 W cap produced zero throttle residency")
-    if t_cap <= t_base:
-        failures.append(f"capped dgemm not slower: {t_cap} vs {t_base}")
-    # power at the mid-run working point (floor in force) fits the cap
-    if mid["watts"] > 210.0 + 1e-6:
-        failures.append(f"capped working point draws {mid['watts']:.1f} W > 210")
-    # and the live sysfs frequency reflects the throttle while it holds
-    if mid["khz"] >= int(mc.devices[0].sku.clock_hz / 1e3):
-        failures.append(f"sysfs frequency {mid['khz']} kHz not throttled")
-    print(f"capped dgemm: {t_cap:.6f} s, working point {mid['watts']:.1f} W "
-          f"at {mid['khz']} kHz, "
-          f"residency {report.cards[0].throttle_residency:.0%}")
-
-    # 4. thermal trip + hysteresis (aggressive thermals to trip quickly)
-    hot = PowerConfig(thermal_tau_s=0.005, trip_c=80.0,
-                      trip_hysteresis_c=5.0,
-                      thermal_resistance_c_per_w=0.15)
-    mt = Machine(cards=1, power_model="knc", power_config=hot).boot()
-    dgemm_run(mt)
-    pm = mt.devices[0].power
-    if pm.thermal_trips < 1:
-        failures.append("aggressive thermals never tripped")
-    if pm.pstate_residency[-1] <= 0:
-        failures.append("thermal trip never forced the deepest P-state")
-    print(f"thermal: {pm.thermal_trips} trips, max {pm.max_temp_c:.1f} C")
-
-    # 5. reset restores boot defaults (cap, requests, thermal state)
-    mr = Machine(cards=1, power_model="knc").boot()
-    ctl = mr.pepc()
-    ctl.set_tdp(150.0)
-    ctl.set_pstate(3)
-    dgemm_run(mr)
-
-    def do_reset():
-        yield from mr.devices[0].reset(mr.fabric)
-
-    mr.sim.spawn(do_reset(), name="pepc-reset")
-    mr.run()
-    pr = mr.devices[0].power
-    if pr.tdp_cap != pr.default_cap:
-        failures.append(f"reset kept the {pr.tdp_cap} W cap")
-    if any(pr.requested) or pr.throttle_idx != 0 or pr.thermal_throttled:
-        failures.append("reset kept pre-reset P-state/throttle state")
-    if pr.temp_c != pr.config.ambient_c:
-        failures.append("reset kept the thermal accumulator")
-    print("reset: cap/P-state/thermal state restored to boot defaults")
-
-    # 6. addressing an unpowered card is a typed error, not a no-op
-    m0 = Machine(cards=1).boot()
-    try:
-        m0.pepc().info()
-        failures.append("pepc accepted a power_model='none' machine")
-    except SimError:
-        pass
-
-    if failures:
-        print()
-        for f in failures:
-            print(f"FAIL {f}", file=sys.stderr)
-        return 1
-    print("\nok: throttle loop converges, trips recover, reset restores defaults")
-    return 0
-
-
 def _cmd_pepc(args) -> int:
     """Query/set card power properties with pepc-style scopes.
 
     Boots a power-modeled testbed, applies any ``--pstate``/``--tdp``/
     ``--cstates``/``--uncore`` settings at the scope named by
     ``--card``/``--core``/``--vm`` (default: global), then prints the
-    resulting property table.  ``--check`` instead runs the closed-loop
-    conformance scenario (the pepc-smoke CI gate).
+    resulting property table.
     """
     from .phi import Scope
     from .system import Machine
-
-    if args.check:
-        return _pepc_check()
 
     machine = Machine(cards=args.cards, card_model=args.sku,
                       power_model="knc").boot()
@@ -568,45 +265,6 @@ def _cmd_pepc(args) -> int:
         ctl.set_uncore(args.uncore, scope)
     print(f"scope: {scope}")
     print(_render_pepc(ctl.info()))
-    return 0
-
-
-#: scenarios ``profile`` can drive: name -> zero-arg runner factory.
-#: Each runs one figure's full deterministic workload (the same code
-#: path the benchmark gates measure), so the profile reflects the real
-#: hot path, not a synthetic loop.
-def _profile_scenarios():
-    from .analysis import fig4_latency, fig5_throughput
-
-    return {
-        "fig4": lambda sizes: fig4_latency(sizes),
-        "fig5": lambda sizes: fig5_throughput(sizes),
-    }
-
-
-def _cmd_profile(args) -> int:
-    """Profile one figure scenario under cProfile.
-
-    Prints the top functions (``--sort tottime`` by default — the
-    optimization discipline here is "attack the measured top of the
-    profile") and optionally dumps the raw stats for snakeviz/pstats
-    (``--out``).
-    """
-    import cProfile
-    import pstats
-
-    scenarios = _profile_scenarios()
-    runner = scenarios[args.scenario]
-    sizes = _parse_sizes(args.sizes) if args.sizes else None
-    prof = cProfile.Profile()
-    prof.enable()
-    runner(sizes)
-    prof.disable()
-    if args.out:
-        prof.dump_stats(args.out)
-        print(f"wrote raw profile to {args.out}")
-    stats = pstats.Stats(prof, stream=sys.stdout)
-    stats.sort_stats(args.sort).print_stats(args.top)
     return 0
 
 
@@ -657,30 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser(
-        "cluster",
-        help="run a cluster placement + live-migration scenario",
-    )
-    p.add_argument("--hosts", type=int, default=2)
-    p.add_argument("--cards", type=int, default=1,
-                   help="cards per host (default 1)")
-    p.add_argument("--vms", type=int, default=3)
-    p.add_argument("--placement", choices=("spread", "pack"),
-                   default="spread")
-    p.add_argument("--churn", action="store_true",
-                   help="hot-unplug the migrated VM's card mid-run")
-    p.add_argument("--check", action="store_true",
-                   help="assert migration/arbiter invariants, exit "
-                        "non-zero on violation")
-    p.set_defaults(fn=_cmd_cluster)
-
-    p = sub.add_parser(
         "qos", help="run an open-loop multi-tenant QoS plan, print SLO table"
     )
     p.add_argument("--plan", help="traffic plan JSON file (default: built-in "
                                   "oversubscription smoke plan)")
-    p.add_argument("--check", action="store_true",
-                   help="validate the plan, run it, and assert every arrival "
-                        "got a typed completion; exit 1 on violation")
     p.add_argument("--tenants", type=int, default=8,
                    help="built-in plan: number of tenant VMs (default 8)")
     p.add_argument("--policy", default="wfq",
@@ -695,11 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=16,
                    help="max tenant rows to print (default 16)")
     p.add_argument("--out", help="also write the rendered report here")
-    p.add_argument("--assert-jain", type=float, default=None,
-                   help="fail unless the share-weighted Jain index is >= X")
-    p.add_argument("--assert-shed", action="store_true",
-                   help="fail unless admission control shed at least one "
-                        "arrival")
     p.set_defaults(fn=_cmd_qos)
 
     p = sub.add_parser(
@@ -724,24 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable/disable C-states on idle cores")
     p.add_argument("--uncore", type=float, default=None,
                    help="uncore frequency multiplier in [0.4, 1.0]")
-    p.add_argument("--check", action="store_true",
-                   help="run the closed-loop conformance scenario; exit "
-                        "non-zero on violation")
     p.set_defaults(fn=_cmd_pepc)
-
-    p = sub.add_parser(
-        "profile", help="run one figure scenario under cProfile"
-    )
-    p.add_argument("scenario", choices=["fig4", "fig5"],
-                   help="which figure's workload to profile")
-    p.add_argument("--sizes", help="comma-separated byte sizes")
-    p.add_argument("--top", type=int, default=25,
-                   help="number of functions to print (default 25)")
-    p.add_argument("--sort", default="tottime",
-                   choices=["tottime", "cumulative", "calls"],
-                   help="pstats sort order (default tottime)")
-    p.add_argument("--out", help="dump raw .pstats data to this path")
-    p.set_defaults(fn=_cmd_profile)
 
     return parser
 

@@ -420,17 +420,22 @@ class AllOf(Event):
 
 
 class AnyOf(Event):
-    """Succeeds when the first child fires; value is ``(index, value)``."""
+    """Succeeds when the first child fires; value is ``(index, value)``.
 
-    __slots__ = ()
+    Once decided it unsubscribes from the losing children: a ``Timeout``
+    raced against a response and left with no other waiter is then
+    tombstoned instead of firing later and holding ``run()`` open.
+    """
+
+    __slots__ = ("_children",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim, name="any_of")
-        events = list(events)
-        if not events:
+        self._children = [(ev, self._make_cb(i)) for i, ev in enumerate(events)]
+        if not self._children:
             raise ValueError("AnyOf requires at least one event")
-        for i, ev in enumerate(events):
-            ev._add_callback(self._make_cb(i))
+        for ev, cb in self._children:
+            ev._add_callback(cb)
 
     def _make_cb(self, i: int) -> Callable[[Event], None]:
         def cb(ev: Event) -> None:
@@ -440,6 +445,10 @@ class AnyOf(Event):
                 self.fail(ev._exc)
             else:
                 self.succeed((i, ev._value))
+            children, self._children = self._children, None
+            for child, child_cb in children:
+                if child is not ev:
+                    child._discard_callback(child_cb)
 
         return cb
 

@@ -1,7 +1,7 @@
 """Declarative traffic plans: tenants, QoS identities, workload mixes.
 
 A :class:`TrafficPlan` is the unit the harness runs and the CLI
-validates (``python -m repro qos --check plan.json``): an arbiter
+loads (``python -m repro qos --plan plan.json``): an arbiter
 policy, a duration, a seed, and a list of tenant groups, each with an
 arrival process, a workload mix and a QoS identity (``share`` for wfq,
 ``priority`` for strict classes).  A group with ``count > 1`` expands
@@ -300,7 +300,7 @@ class TrafficPlan:
     def smoke(cls, tenants: int = 8, policy: str = "wfq",
               oversubscription: float = 10.0,
               duration: float = 0.02, seed: int = 0) -> "TrafficPlan":
-        """The qos-smoke shape: ``tenants`` equal-share interactive
+        """The CLI's built-in plan: ``tenants`` equal-share interactive
         tenants offering ``oversubscription`` times the card's dispatch
         capacity, with admission watermarks armed."""
         slots = 4
@@ -321,7 +321,8 @@ class TrafficPlan:
 
 
 def plan_check(plan: TrafficPlan) -> list[str]:
-    """Human-readable validation summary lines for ``--check``."""
+    """Human-readable summary lines ``python -m repro qos`` prints
+    before it runs a plan."""
     lines = []
     expanded = plan.expanded()
     total = 0

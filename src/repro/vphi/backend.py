@@ -48,7 +48,6 @@ from .ops import (
     SPAN_HOST_CALL,
     SPAN_RING,
     OpSpec,
-    registered_ops,
     spec_for,
 )
 from .pool import CardArbiter, WorkerPool
@@ -119,44 +118,10 @@ class VPhiBackend:
             self.pool = WorkerPool(
                 self, self.config.backend_workers, arbiter, costs=self.costs
             )
-        self._build_cost_tables()
-
-    # ------------------------------------------------------------------
-    # vectorized per-op cost tables
-    # ------------------------------------------------------------------
-    def _build_cost_tables(self) -> None:
-        """Resolve every registered op's declarative cost keys against
-        this backend's host-cost model, once.
-
-        Declarative ``pre_cost``/``post_cost`` tuples (cost-table
-        attribute names) become plain floats in ``_fixed_pre``/
-        ``_fixed_post`` and rows of the numpy cost vectors the batched
-        drain uses for aggregate accounting.  Callable hooks stay
-        unresolved (dynamic escape hatch) and are invoked per request as
-        before; ops registered after construction (``temporary_op``)
-        resolve lazily through :meth:`_fixed_cost`.
-        """
-        specs = registered_ops()
-        self._op_slot: dict = {}
-        self._pooled_keys: list[str] = []
-        pre = np.zeros(len(specs))
-        post = np.zeros(len(specs))
+        #: declarative ``pre_cost``/``post_cost`` key tuples resolved
+        #: against ``lib.costs``, per op, on first dispatch.
         self._fixed_pre: dict = {}
         self._fixed_post: dict = {}
-        for i, spec in enumerate(specs):
-            self._op_slot[spec.op] = i
-            self._pooled_keys.append(spec.pooled_key)
-            if isinstance(spec.pre_cost, tuple):
-                pre[i] = self._fixed_cost(spec.op, spec.pre_cost,
-                                          self._fixed_pre)
-            if isinstance(spec.post_cost, tuple):
-                post[i] = self._fixed_cost(spec.op, spec.post_cost,
-                                           self._fixed_post)
-        #: fixed host-side seconds charged around each op's handler,
-        #: indexed by registry slot — ``counts @ vec`` prices a whole
-        #: drained batch in one dot product.
-        self._pre_cost_vec = pre
-        self._post_cost_vec = post
 
     def _fixed_cost(self, op, keys: tuple, cache: dict) -> float:
         value = cache.get(op)
@@ -205,12 +170,6 @@ class VPhiBackend:
         Without a pool this is the paper's dispatch verbatim —
         blocking-class ops freeze the whole VM inline.
 
-        Per-drain accounting is vectorized: pooled submissions accumulate
-        into a per-op count vector charged to the tracer in one pass
-        (:meth:`_charge_batch`) instead of one counter bump per chain.
-        The per-request simulated costs are untouched — only the
-        bookkeeping is batched.
-
         When the last in-flight request retires and the ring is empty the
         device declares itself idle — then re-checks the ring once, in
         case a driver skipped its kick in that window (the virtio
@@ -231,18 +190,10 @@ class VPhiBackend:
             if batch:
                 self.in_flight += len(batch)
                 pooled: list = []
-                counts = None
                 for elem in batch:
                     req: VPhiRequest = elem.header
                     spec = spec_for(req.op)
                     if pool is not None and spec.rides_pool:
-                        slot = self._op_slot.get(spec.op)
-                        if slot is None:  # post-construction temporary op
-                            self.tracer.count(spec.pooled_key)
-                        else:
-                            if counts is None:
-                                counts = np.zeros(len(self._pooled_keys))
-                            counts[slot] += 1.0
                         pooled.append((elem, spec))
                     else:
                         blocking = (self.config.is_blocking(req.op)
@@ -252,8 +203,7 @@ class VPhiBackend:
                         )
                 if pooled:
                     pool.submit_batch(pooled)
-                if counts is not None:
-                    self._charge_batch(counts)
+                    self._charge_batch(pooled)
             if self.in_flight == 0:
                 self.virtio.backend_idle()
                 if ring.avail_pending():
@@ -261,19 +211,10 @@ class VPhiBackend:
                     continue
             break
 
-    def _charge_batch(self, counts: np.ndarray) -> None:
-        """One vectorized tracer pass for a drained batch: per-op pooled
-        counters bumped once each, and the batch's total fixed host cost
-        (the pre/post rows dotted with the count vector) accumulated as
-        drain-level observability."""
-        tracer = self.tracer
-        keys = self._pooled_keys
-        for slot in np.nonzero(counts)[0]:
-            tracer.count(keys[slot], int(counts[slot]))
-        fixed = float(counts @ self._pre_cost_vec + counts @ self._post_cost_vec)
-        if self._power is not None:
-            fixed *= self._power.cost_multiplier()
-        tracer.accumulate("vphi.backend.batch_fixed_cost", fixed)
+    def _charge_batch(self, pooled: list) -> None:
+        """Count each of a drained batch's pool submissions per op."""
+        for _, spec in pooled:
+            self.tracer.count(spec.pooled_key)
 
     def request_retired(self) -> None:
         """One request left the in-flight set; re-drain for parked work."""

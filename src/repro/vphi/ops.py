@@ -173,9 +173,8 @@ class OpSpec:
     #: fixed host-side simulated seconds charged before/after the handler
     #: (syscall entry + driver dispatch, completion message, ...).
     #: Preferred form: a tuple of cost-table attribute names (e.g.
-    #: ``("syscall", "driver")``) resolved once against the backend's
-    #: ``lib.costs`` into a plain float — this is what feeds the
-    #: backend's vectorized per-op cost tables.  A callable
+    #: ``("syscall", "driver")``) resolved once per backend against its
+    #: ``lib.costs`` into a plain float and cached.  A callable
     #: ``(backend, req) -> float`` stays supported as the escape hatch
     #: for genuinely dynamic costs.
     pre_cost: Optional[Callable | tuple] = None
@@ -433,9 +432,8 @@ def temporary_op(op: Any, handler: Callable, **kwargs) -> Iterator[OpSpec]:
 # ======================================================================
 # cost keys shared by the RMA family: one host ioctl pays syscall entry
 # + driver dispatch up front and one completion message at the end.
-# Declarative (resolved against the backend's ``lib.costs`` once, into
-# its vectorized per-op cost tables) rather than callables invoked per
-# request.
+# Declarative (resolved against the backend's ``lib.costs`` once and
+# cached) rather than callables invoked per request.
 # ======================================================================
 RMA_PRE_COST = ("syscall", "driver")
 RMA_POST_COST = ("completion",)

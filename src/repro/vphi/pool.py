@@ -41,7 +41,6 @@ from ..sim import Channel, ChannelClosed, Event, Interrupted, SimError, Simulato
 from .ops import SPAN_CREDIT_WAIT, SPAN_RING, OpSpec
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..virtio import VirtqueueElement
     from .backend import VPhiBackend
 
 __all__ = ["CardArbiter", "WorkerPool"]
@@ -428,10 +427,6 @@ class WorkerPool:
         if spec.wants_endpoint:
             return req.handle % self.size
         return next(self._rr) % self.size
-
-    def submit(self, elem: "VirtqueueElement", spec: OpSpec) -> None:
-        """Queue one popped chain on its member's shard (never blocks)."""
-        self.submit_batch([(elem, spec)])
 
     def submit_batch(self, items: list) -> None:
         """Queue a whole drained batch of ``(elem, spec)`` pairs at once.

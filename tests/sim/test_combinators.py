@@ -52,11 +52,49 @@ def test_anyof_ignores_later_events_after_first():
         first = sim.timeout(1.0, "fast")
         second = sim.timeout(2.0, "slow")
         idx, val = yield sim.any_of([second, first])
-        # the slow event still fires later without disturbing anyone
+        # the slow loser is dropped without disturbing anyone
         yield sim.timeout(5.0)
         return idx, val
 
     assert run_with(sim, waiter()) == (1, "fast")
+
+
+def test_anyof_drops_losing_timeouts():
+    """A quick event raced against a long watchdog, many times over: each
+    losing watchdog is tombstoned, so nothing is left queued after the
+    races and run() ends at the last real event, not the last watchdog."""
+    sim = Simulator()
+    left = []
+
+    def racer():
+        for _ in range(1000):
+            idx, _ = yield sim.any_of([sim.timeout(1e-6), sim.timeout(5.0)])
+            assert idx == 0
+        left.append(len(sim._queue))
+
+    sim.spawn(racer())
+    end = sim.run()
+    assert left == [0]
+    assert end == pytest.approx(1000 * 1e-6)
+
+
+def test_anyof_loser_still_fires_for_its_other_waiter():
+    sim = Simulator()
+    shared = sim.timeout(5.0, "watchdog")
+
+    def racer():
+        idx, _ = yield sim.any_of([sim.timeout(1e-6), shared])
+        return idx
+
+    def sleeper():
+        value = yield shared
+        return value, sim.now
+
+    r = sim.spawn(racer())
+    s = sim.spawn(sleeper())
+    sim.run()
+    assert r.value == 0
+    assert s.value == ("watchdog", pytest.approx(5.0))
 
 
 def test_allof_mixed_processes_and_timeouts():

@@ -71,25 +71,6 @@ def test_unknown_command_rejected():
         main(["warp"])
 
 
-def test_profile_prints_stats_and_dumps_pstats(tmp_path, capsys):
-    import pstats
-
-    out_path = tmp_path / "fig4.pstats"
-    assert main(["profile", "fig4", "--sizes", "1,1024", "--top", "5",
-                 "--out", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert "Ordered by: internal time" in out
-    assert f"wrote raw profile to {out_path}" in out
-    # the dump loads back as valid pstats data
-    stats = pstats.Stats(str(out_path))
-    assert stats.total_calls > 0
-
-
-def test_profile_rejects_unknown_scenario():
-    with pytest.raises(SystemExit):
-        main(["profile", "fig9"])
-
-
 def test_qos_smoke_runs_and_renders(capsys):
     assert main(["qos", "--tenants", "4", "--duration", "0.004",
                  "--policy", "wfq"]) == 0
@@ -99,41 +80,49 @@ def test_qos_smoke_runs_and_renders(capsys):
     assert "tenant-0" in out
 
 
-def test_qos_check_validates_and_asserts(tmp_path, capsys):
-    report_path = tmp_path / "slo.txt"
-    assert main(["qos", "--check", "--tenants", "4", "--duration", "0.004",
-                 "--assert-jain", "0.9", "--assert-shed",
-                 "--out", str(report_path)]) == 0
-    out = capsys.readouterr().out
-    assert "plan ok: 4 tenants" in out
-    assert "every arrival got a typed completion" in out
-    assert "QoS report" in report_path.read_text()
-
-
 def test_qos_check_plan_file_round_trip(tmp_path, capsys):
     import json as _json
 
     from repro.traffic import TrafficPlan
 
     plan_path = tmp_path / "plan.json"
+    report_path = tmp_path / "slo.txt"
     plan_path.write_text(_json.dumps(
         TrafficPlan.smoke(tenants=4, duration=0.004).to_dict()))
-    assert main(["qos", "--check", "--plan", str(plan_path)]) == 0
+    assert main(["qos", "--plan", str(plan_path),
+                 "--out", str(report_path)]) == 0
     out = capsys.readouterr().out
-    assert "plan ok" in out
+    assert "plan ok: 4 tenants" in out
+    assert "QoS report" in report_path.read_text()
 
 
 def test_qos_invalid_plan_fails(tmp_path, capsys):
     plan_path = tmp_path / "bad.json"
     plan_path.write_text('{"tenants": [], "policy": "warp"}')
-    assert main(["qos", "--check", "--plan", str(plan_path)]) == 1
+    assert main(["qos", "--plan", str(plan_path)]) == 1
     err = capsys.readouterr().err
     assert "FAIL invalid plan" in err
 
 
-def test_qos_jain_assertion_can_fail(capsys):
-    # an impossible bar: weighted Jain can never exceed 1.0
-    assert main(["qos", "--tenants", "4", "--duration", "0.004",
-                 "--assert-jain", "1.1"]) == 1
-    err = capsys.readouterr().err
-    assert "weighted Jain's index" in err
+def test_qos_conservation_violation_fails(monkeypatch, capsys):
+    import repro.traffic
+
+    real_run_plan = repro.traffic.run_plan
+
+    def run_plan_losing_an_arrival(plan):
+        result = real_run_plan(plan)
+        result.loads[0].offered += 1  # one arrival never settled
+        return result
+
+    monkeypatch.setattr(repro.traffic, "run_plan", run_plan_losing_an_arrival)
+    assert main(["qos", "--tenants", "2", "--duration", "0.004"]) == 1
+    assert "stranded 1 of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "cluster", "profile fig4", "qos --check", "qos --assert-jain 0.95",
+    "qos --assert-shed", "pepc --check",
+])
+def test_removed_commands_and_flags_rejected(argv):
+    with pytest.raises(SystemExit):
+        main(argv.split())

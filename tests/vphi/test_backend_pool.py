@@ -157,6 +157,42 @@ class TestPooledDispatch:
         assert vm.vphi.backend.pool.completed >= 3
         assert vm.tracer.counters["vphi.op.send.pooled"] == 1
 
+    def test_pooled_counters_sum_to_submissions(self):
+        """Every pool submission is counted under its op's pooled key,
+        including an op registered after the backend was built."""
+        m = Machine(cards=1).boot()
+        vm = pooled_vm(m)
+        card = m.card_node_id(0)
+        ready = window_server(m, PORT, 4 * KB)
+        glib = vm.vphi.libscif(vm.guest_process("app"))
+
+        class _Op:
+            value = "late_pooled"
+
+        def handler(backend, req, elem, a):
+            yield backend.sim.timeout(0)
+            return 0, 0
+
+        with temporary_op(_Op(), handler, wants_endpoint=False) as late:
+            assert late.rides_pool
+
+            def client():
+                ep = yield from glib.open()
+                yield from glib.connect(ep, (card, PORT))
+                yield ready
+                yield from glib.send(ep, b"x" * 64)
+                for _ in range(3):
+                    yield from vm.vphi.frontend.submit(late.op, args={})
+
+            vm.spawn_guest(client())
+            m.run()
+            counters = vm.tracer.counters
+            pooled = {s.op_name: counters[s.pooled_key]
+                      for s in registered_ops() if counters[s.pooled_key]}
+        assert pooled["late_pooled"] == 3
+        assert pooled["send"] == 1
+        assert sum(pooled.values()) == vm.vphi.backend.pool.submitted
+
     def test_max_inflight_window_is_honoured(self):
         """A burst far wider than the window never exceeds it, and the
         parked chains all drain once completions retire."""

@@ -51,6 +51,16 @@ def test_interrupt_mode_pays_wait_scheme(machine):
     assert lat == pytest.approx(us(382), rel=0.01)
 
 
+def test_lost_watchdogs_do_not_hold_the_run_open(machine):
+    """op_timeout races each blocking op's response against a watchdog;
+    once the response wins, the watchdog is dropped, so the run ends with
+    the traffic rather than op_timeout later."""
+    vm = machine.create_vm("vm-wd", vphi_config=VPhiConfig(op_timeout=5.0))
+    lat = measure_send_latency(machine, vm)
+    assert lat == pytest.approx(us(382), rel=0.01)
+    assert machine.sim.now < 1.0
+
+
 def test_hybrid_polls_small_sleeps_large(machine):
     """The paper's future-work hybrid: small transfers get polling's
     latency, large ones keep the interrupt scheme."""
