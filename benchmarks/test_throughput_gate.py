@@ -126,13 +126,13 @@ def test_scheduler_events_per_sec_floor():
 
 
 def _run_fig5_scenario():
-    """One full Fig 5 sweep (native + guest); returns the guest tracer."""
+    """One full Fig 5 sweep (native + guest); returns the guest VM."""
     machine = fresh_machine()
     rma_read_throughput(machine, ClientContext.native(machine), FIG5_SIZES)
     machine2 = fresh_machine()
     vm = machine2.create_vm("vm0")
     rma_read_throughput(machine2, ClientContext.guest(vm), FIG5_SIZES)
-    return vm.tracer
+    return vm
 
 
 def test_fig5_scenario_throughput_floor():
@@ -143,7 +143,7 @@ def test_fig5_scenario_throughput_floor():
     elapsed = float("inf")
     for _ in range(2):
         t0 = time.perf_counter()
-        tracer = _run_fig5_scenario()
+        vm = _run_fig5_scenario()
         elapsed = min(elapsed, time.perf_counter() - t0)
 
     total_bytes = 2 * sum(FIG5_SIZES)  # native sweep + vPHI sweep
@@ -152,10 +152,8 @@ def test_fig5_scenario_throughput_floor():
     memcpy_ref = _memcpy_reference_rate()
     floor = min(heap_ref * FIG5_BYTES_PER_HEAP_OP_FLOOR,
                 memcpy_ref * FIG5_MEMCPY_RATIO_FLOOR)
-    # the forwarded-op rate rides along as observability: every counter
-    # key of the exact form "vphi.op.<name>" is one submitted request
-    ops = sum(v for k, v in tracer.counters.items()
-              if k.startswith("vphi.op.") and "." not in k[len("vphi.op."):])
+    # the forwarded-op rate rides along as observability
+    ops = vm.vphi.frontend.requests
     print(f"\nfig5 sweep: {elapsed:.2f}s wall, {rate / 1e6:,.1f} MB/s, "
           f"{ops} vPHI ops ({ops / elapsed:,.0f} ops/s); floor "
           f"{floor / 1e6:,.1f} MB/s (heapq ref {heap_ref:,.0f}/s, "

@@ -1,4 +1,4 @@
-"""The §IV-B breakdown analysis, produced from live trace data.
+"""The §IV-B breakdown analysis, produced from live request spans.
 
 "we performed deeper breakdown measurements to further investigate the
 cause of this overhead.  Based on the breakdown analysis, we conclude
@@ -8,7 +8,9 @@ inside the frontend driver."
 :func:`overhead_breakdown` reproduces that attribution for any vPHI
 frontend after it has carried traffic: per-request phase costs, each
 phase's share of the +375 µs virtualization overhead, rendered the way
-the paper narrates it.
+the paper narrates it.  It is a view over the request spans
+(:func:`repro.analysis.span_breakdown`), which record where every
+request's simulated time went.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .calibration import SCIF_COSTS
+from .spans import span_breakdown
 
 __all__ = [
+    "BREAKDOWN_ROWS",
     "ConcurrencySnapshot",
     "ConcurrencyStats",
     "OpStats",
@@ -42,35 +46,57 @@ class PhaseShare:
     share_of_overhead: float
 
 
+#: the §IV-B rows, each the sum of some span phases.  The backend row is
+#: reported net of the native control-plane floor.  ``post`` (ring-space
+#: back-pressure), ``retry_backoff`` and ``session_wait`` are fault and
+#: contention waits, not virtualization overhead, and belong to no row.
+BREAKDOWN_ROWS = (
+    ("frontend driver (marshalling)", ("marshal",)),
+    ("user<->kernel copies", ("copy_in", "copy_out")),
+    ("virtio kick (vmexit)", ("kick",)),
+    ("sleep/wake-up scheme", ("guest_wake",)),
+    ("backend + host syscall + irq",
+     ("ring", "credit_wait", "backend_pop", "host_call", "completion_push",
+      "irq_deliver")),
+    ("response demux + return", ("guest_return",)),
+)
+_SERVICE_ROW = "backend + host syscall + irq"
+
+
 def overhead_breakdown(frontend) -> list[PhaseShare]:
-    """Per-request phase costs from a frontend's tracer, most expensive
-    first.  Phases: frontend marshalling, data copies, kick/vmexit, the
-    wait (split into wakeup-scheme vs backend+host+irq service), and the
-    guest return path."""
-    acc = frontend.tracer.accumulators
-    n = max(frontend.requests, 1)
-    wakeup = acc.get("vphi.wait_scheme_time", 0.0)
-    wait_total = acc.get("vphi.phase.wait", 0.0)
-    phases = {
-        "frontend driver (marshalling)": acc.get("vphi.phase.frontend", 0.0),
-        "user<->kernel copies": acc.get("vphi.phase.copy", 0.0),
-        "virtio kick (vmexit)": acc.get("vphi.phase.kick", 0.0),
-        "sleep/wake-up scheme": wakeup,
-        "backend + host syscall + irq": max(wait_total - wakeup, 0.0),
-        "response demux + return": acc.get("vphi.phase.guest_return", 0.0),
-    }
-    # the overhead denominator: everything beyond the native operation.
-    # wait includes the native op itself (the host-side SCIF call), so
-    # subtract the native cost observed once per request.
+    """The §IV-B table as a view over the frontend's request spans.
+
+    Each row of :data:`BREAKDOWN_ROWS` sums its span phases over every
+    request span on the frontend's tracer and divides by the number of
+    those spans; rows come most expensive first.  The native SCIF
+    control-plane floor (the host-side call itself) is subtracted from
+    the backend row, so the rows add up to the virtualization overhead.
+
+    Spans are the only record read here: with
+    ``VPhiConfig(trace_spans=False)`` the frontend opens none, and this
+    returns ``[]``.
+    """
+    from ..vphi.ops import registered_ops
+
+    per_op = span_breakdown(frontend.tracer,
+                            ops=[spec.op_name for spec in registered_ops()])
+    n = sum(bd.count for bd in per_op.values())
+    if n == 0:
+        return []
+    phases: dict[str, float] = {}
+    for bd in per_op.values():
+        for phase, seconds in bd.phases.items():
+            phases[phase] = phases.get(phase, 0.0) + seconds
+    rows = {name: sum(phases.get(p, 0.0) for p in members)
+            for name, members in BREAKDOWN_ROWS}
     native_per_req = SCIF_COSTS.one_byte_latency  # control-plane floor
-    service = phases["backend + host syscall + irq"]
-    phases["backend + host syscall + irq"] = max(service - native_per_req * n, 0.0)
-    total_overhead = sum(phases.values())
+    rows[_SERVICE_ROW] = max(rows[_SERVICE_ROW] - native_per_req * n, 0.0)
+    total_overhead = sum(rows.values())
     if total_overhead <= 0:
         return []
     out = [
         PhaseShare(name, value / n, value / total_overhead)
-        for name, value in phases.items()
+        for name, value in rows.items()
     ]
     out.sort(key=lambda p: p.per_request, reverse=True)
     return out

@@ -124,7 +124,6 @@ def live_migrate(cluster, vm, dest: CardRef, precopy: bool = True):
         raise SimError(f"cannot migrate {name!r} onto offline card {dest}")
     inst = vm.vphi
     ses = inst.frontend.session
-    tracer = cluster.tracer
     span = vm.tracer.new_span("vphi.migrate", vm=name)
     report = MigrationReport(
         vm=name, source=src, dest=dest, started=sim.now,
@@ -143,7 +142,7 @@ def live_migrate(cluster, vm, dest: CardRef, precopy: bool = True):
 
     # 2. fence: close the gate, drain in-flight work, bump the epoch
     t = sim.now
-    ses.begin_migration(str(dest))
+    ses.begin_migration()
     yield from ses.quiesce()
     ses.fence_migration(str(dest))
     report.phases["fence"] = sim.now - t
@@ -190,11 +189,7 @@ def live_migrate(cluster, vm, dest: CardRef, precopy: bool = True):
     vm.tracer.end_span(span, "error" if report.broken else "ok")
 
     cluster.migrations.append(report)
-    tracer.count("cluster.migrations")
-    tracer.observe("cluster.migration.downtime", report.downtime)
-    tracer.emit("cluster.churn", "vm migrated",
-                vm=name, source=str(src), dest=str(dest),
-                downtime=report.downtime, ops=report.replayed_ops)
+    cluster.tracer.count("cluster.migrations")
     return report
 
 

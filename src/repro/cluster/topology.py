@@ -397,8 +397,6 @@ class Cluster:
         self.placements.pop(vm.name, None)
         self.evicted.append(vm.name)
         self.tracer.count("cluster.evictions")
-        self.tracer.emit("cluster.churn", "vm evicted",
-                         vm=vm.name, cause=cause)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

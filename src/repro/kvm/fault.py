@@ -54,9 +54,7 @@ class KvmMmu:
     """The host-side second-level fault handler for one VM.
 
     Fault counts are kept on the per-VM tracer (``kvm.fault.pfnphi`` /
-    ``kvm.fault.regular``) and each PFNPHI resolution is emitted into the
-    same ``vphi.timeline`` category the SCIF ops use, so EPT faults and
-    the mmap traffic that causes them appear interleaved in one timeline.
+    ``kvm.fault.regular``).
     """
 
     def __init__(self, vm_name: str, modified: bool = True,
@@ -97,8 +95,6 @@ class KvmMmu:
             mem, paddr = info.locate(rel)
             if paddr % PAGE_SIZE:
                 raise PageFault(page_vaddr, "PFNPHI mapping not page aligned")
-            self.tracer.emit("vphi.timeline", "EPT fault resolved to Phi memory",
-                             vma=vma.name, page=page_align_down(page_vaddr))
             return mem, paddr
         self.tracer.count("kvm.fault.regular")
         raise PageFault(page_vaddr, f"kvm[{self.vm_name}]: unhandled EPT fault")
@@ -120,6 +116,4 @@ class KvmMmu:
                 zapped += 1
         self.tracer.count("kvm.zap.vma")
         self.tracer.count("kvm.zap.pages", zapped)
-        self.tracer.emit("vphi.timeline", "EPT entries zapped for rebuilt mapping",
-                         vma=vma.name, pages=zapped)
         return zapped

@@ -349,9 +349,6 @@ class PhiPowerModel:
         if not self.thermal_throttled and self.temp_c >= cfg.trip_c:
             self.thermal_throttled = True
             self.thermal_trips += 1
-            if self.tracer is not None:
-                self.tracer.emit("phi.power", "thermal trip", card=self.name,
-                                 temp_c=round(self.temp_c, 3))
         elif (self.thermal_throttled
               and self.temp_c <= cfg.trip_c - cfg.trip_hysteresis_c):
             self.thermal_throttled = False

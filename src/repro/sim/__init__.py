@@ -29,7 +29,7 @@ from .primitives import (
     WaitQueue,
     run_with,
 )
-from .trace import LatencyStat, Span, TraceRecord, Tracer
+from .trace import LatencyStat, Span, Tracer
 
 __all__ = [
     "AllOf",
@@ -53,7 +53,6 @@ __all__ = [
     "Simulator",
     "Span",
     "Timeout",
-    "TraceRecord",
     "Tracer",
     "US",
     "WaitQueue",

@@ -1,24 +1,23 @@
-"""Lightweight structured tracing and metric collection.
+"""Lightweight metric collection and request-lifecycle spans.
 
-Every layer of the stack emits trace records (``tracer.emit(...)``) and
-bumps counters; the benchmark harness reads them back to build the paper's
-breakdown analyses (e.g. the §IV-B attribution of 93 % of the latency
-overhead to the frontend wait scheme).
+Every layer of the stack bumps counters and stamps spans; the analysis
+layer reads them back to build the paper's breakdowns (e.g. the §IV-B
+attribution of 93 % of the latency overhead to the frontend wait
+scheme, which :func:`repro.analysis.overhead_breakdown` reads off the
+spans).
 
-Three tiers of detail, cheapest first:
+A :class:`Tracer` holds four stores:
 
 * **counters / accumulators / stats** — always on.  :class:`LatencyStat`
   keeps a sparse geometric histogram alongside min/mean/max, so p50/p95/
   p99 come for free wherever a latency was observed.
-* **records** — opt-in per category (``enable``) or wholesale
-  (``record_all``), stored in a capped ring buffer so a long chaos run
-  cannot grow memory without bound (drops are counted under
-  ``vphi.trace.dropped_records``).
 * **spans** — one :class:`Span` per request lifecycle, stamped with
   phase timestamps by every layer it crosses (frontend, ring, backend,
   pool, host).  Phase durations telescope — consecutive timestamp
   differences — so they sum to the span's end-to-end latency *exactly*.
-  Completed spans export as Chrome trace-event JSON
+  A span is the one record of where a request's simulated time went.
+  Completed spans live in a capped ring (drops are counted under
+  ``vphi.trace.dropped_spans``) and export as Chrome trace-event JSON
   (:meth:`Tracer.export_chrome_trace`) loadable in ``chrome://tracing``
   or Perfetto.
 """
@@ -27,45 +26,23 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import SimError
 
 __all__ = [
-    "DEFAULT_MAX_RECORDS",
     "DEFAULT_MAX_SPANS",
-    "DROPPED_RECORDS_KEY",
     "DROPPED_SPANS_KEY",
     "LatencyStat",
     "Span",
-    "TraceRecord",
     "Tracer",
 ]
 
-#: generous default caps: a full Fig 4/5 run stays far below these, while
-#: an unbounded chaos-soak run tops out instead of eating the heap.
-DEFAULT_MAX_RECORDS = 65536
+#: generous default cap: a full Fig 4/5 run stays far below it, while an
+#: unbounded chaos-soak run tops out instead of eating the heap.
 DEFAULT_MAX_SPANS = 65536
-#: counter bumped once per record/span dropped on ring-buffer overflow.
-DROPPED_RECORDS_KEY = "vphi.trace.dropped_records"
+#: counter bumped once per span dropped on ring-buffer overflow.
 DROPPED_SPANS_KEY = "vphi.trace.dropped_spans"
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace event: simulated time, category, message, and fields."""
-
-    time: float
-    category: str
-    message: str
-    fields: tuple[tuple[str, Any], ...] = ()
-
-    def field(self, key: str, default: Any = None) -> Any:
-        for k, v in self.fields:
-            if k == key:
-                return v
-        return default
 
 
 #: histogram resolution: geometric buckets, 10 per decade (each bucket
@@ -238,56 +215,34 @@ class Span:
 
 
 class Tracer:
-    """Collects trace records, counters, accumulators and request spans.
+    """Collects counters, accumulators, latency stats and request spans.
 
-    Recording full records is opt-in per category (``enable``) so hot
-    paths stay cheap; counters and accumulators are always on; spans are
-    on by default (``record_spans=False`` turns the whole span layer into
-    no-ops for overhead-sensitive soaks).
+    All four stores are always on.  Callers decide whether to open spans
+    (the vPHI frontend opens one per request unless
+    ``VPhiConfig(trace_spans=False)``); every span method accepts
+    ``None``, so a caller with spans off passes its missing span through.
     """
 
-    def __init__(
-        self,
-        record_all: bool = False,
-        max_records: Optional[int] = DEFAULT_MAX_RECORDS,
-        max_spans: Optional[int] = DEFAULT_MAX_SPANS,
-        record_spans: bool = True,
-    ):
-        #: capped ring buffer: overflow drops the oldest record and bumps
-        #: :attr:`dropped_records` + ``vphi.trace.dropped_records``.
-        self.records: deque[TraceRecord] = deque(maxlen=max_records)
+    def __init__(self):
         self.counters: Counter[str] = Counter()
         self.accumulators: defaultdict[str, float] = defaultdict(float)
         self.stats: dict[str, LatencyStat] = {}
-        self._enabled: set[str] = set()
-        self._record_all = record_all
         self._clock: Callable[[], float] = lambda: 0.0
-        self.record_spans = record_spans
         #: live spans by correlation tag (retried requests map several
         #: tags to one span); a leak here is a bug the tests hunt.
         self.active_spans: dict[int, Span] = {}
-        #: completed spans, oldest dropped past ``max_spans``.
-        self.spans: deque[Span] = deque(maxlen=max_spans)
-        self.dropped_records = 0
+        #: completed spans, oldest dropped past the ring's cap.
+        self.spans: deque[Span] = deque(maxlen=DEFAULT_MAX_SPANS)
         self.dropped_spans = 0
 
     # ------------------------------------------------------------------
-    # ring-buffer caps, hoisted: emit/end_span fire on every request, so
-    # "is this ring capped and full" must be one comparison against a
+    # ring-buffer cap, hoisted: end_span fires on every request, so "is
+    # the ring capped and full" must be one comparison against a
     # precomputed cap — not a maxlen None-test per call.  A cap of -1
-    # means unbounded (a length never equals it).  The buffers stay
-    # plain attributes to callers; assigning a replacement deque (as the
+    # means unbounded (a length never equals it).  The ring stays a
+    # plain attribute to callers; assigning a replacement deque (as the
     # soak tests do) recomputes the cap through the setter.
     # ------------------------------------------------------------------
-    @property
-    def records(self) -> deque:
-        return self._records
-
-    @records.setter
-    def records(self, ring: deque) -> None:
-        self._records = ring
-        self._records_cap = -1 if ring.maxlen is None else ring.maxlen
-
     @property
     def spans(self) -> deque:
         return self._spans
@@ -298,38 +253,14 @@ class Tracer:
         self._spans_cap = -1 if ring.maxlen is None else ring.maxlen
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the simulator's ``now`` so records carry simulated time."""
+        """Attach the simulator's ``now`` so spans carry simulated time."""
         self._clock = clock
-
-    @property
-    def now(self) -> float:
-        return self._clock()
-
-    def enable(self, *categories: str) -> None:
-        self._enabled.update(categories)
-
-    def disable(self, *categories: str) -> None:
-        self._enabled.difference_update(categories)
-
-    def emit(self, category: str, message: str, **fields: Any) -> None:
-        self.counters[category] += 1
-        if self._record_all or category in self._enabled:
-            records = self._records
-            if len(records) == self._records_cap:
-                self.dropped_records += 1
-                self.counters[DROPPED_RECORDS_KEY] += 1
-            records.append(
-                TraceRecord(self._clock(), category, message, tuple(fields.items()))
-            )
 
     def count(self, key: str, n: int = 1) -> None:
         self.counters[key] += n
 
     def accumulate(self, key: str, amount: float) -> None:
-        """Add simulated seconds (or bytes, …) to a named bucket.
-
-        The latency-breakdown benches sum per-phase buckets from here.
-        """
+        """Add simulated seconds (or bytes, …) to a named bucket."""
         self.accumulators[key] += amount
 
     def observe(self, key: str, value: float) -> None:
@@ -338,16 +269,11 @@ class Tracer:
             stat = self.stats[key] = LatencyStat(key)
         stat.add(value)
 
-    def find(self, category: str) -> list[TraceRecord]:
-        return [r for r in self.records if r.category == category]
-
     # ------------------------------------------------------------------
     # request-lifecycle spans
     # ------------------------------------------------------------------
-    def new_span(self, op: str, vm: str = "") -> Optional[Span]:
-        """Open a span starting now (None when spans are disabled)."""
-        if not self.record_spans:
-            return None
+    def new_span(self, op: str, vm: str = "") -> Span:
+        """Open a span starting now."""
         return Span(op, self._clock(), vm=vm)
 
     def bind_span(self, tag: int, span: Optional[Span]) -> None:
@@ -446,30 +372,9 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        self.records.clear()
         self.counters.clear()
         self.accumulators.clear()
         self.stats.clear()
         self.active_spans.clear()
         self.spans.clear()
-        self.dropped_records = 0
         self.dropped_spans = 0
-
-    def summary(self, categories: Optional[Iterable[str]] = None) -> str:
-        """Human-readable dump used by example scripts.
-
-        ``categories`` filters *both* sections: counters print exactly
-        the requested keys, accumulators print only requested ones.
-        """
-        wanted = set(categories) if categories is not None else None
-        lines = ["counters:"]
-        keys = sorted(wanted) if wanted else sorted(self.counters)
-        for key in keys:
-            lines.append(f"  {key}: {self.counters[key]}")
-        acc_keys = [k for k in sorted(self.accumulators)
-                    if wanted is None or k in wanted]
-        if acc_keys:
-            lines.append("accumulators:")
-            for key in acc_keys:
-                lines.append(f"  {key}: {self.accumulators[key]:.6g}")
-        return "\n".join(lines)

@@ -244,9 +244,6 @@ class VPhiBackend:
         # map guest buffers + dispatch overhead
         yield self.sim.timeout(self.costs.backend)
         self.tracer.mark_tag(req.tag, SPAN_BACKEND_POP)
-        self.tracer.emit("vphi.timeline", "backend mapped buffers, dispatching",
-                         tag=req.tag, op=spec.op_name, phase=spec.phase,
-                         vm=self.vm.name)
         resp = VPhiResponse(tag=req.tag, epoch=req.epoch, op=req.op)
         try:
             # ring corruption is discovered while walking the popped
@@ -254,7 +251,7 @@ class VPhiBackend:
             inj = self.faults.draw(FaultSite.RING_POP,
                                    op=spec.op_name, vm=self.vm.name)
             if inj is not None:
-                self._record_injection(spec, inj)
+                self._record_injection(spec)
                 raise inj.make_error()
             inj = self.faults.draw(FaultSite.BACKEND_DISPATCH,
                                    op=spec.op_name, vm=self.vm.name)
@@ -271,11 +268,7 @@ class VPhiBackend:
         self.tracer.mark_tag(req.tag, SPAN_HOST_CALL)
         self.requests_served += 1
         self.tracer.count(spec.served_key)
-        self.tracer.emit("vphi.timeline", "host call returned, irq injected",
-                         tag=req.tag, op=spec.op_name, phase=spec.phase,
-                         vm=self.vm.name)
         # the response record is written into the shared chain header
-        resp.pushed_at = self.sim.now
         self.virtio.ring.push_used(elem, written=resp.written, header=resp)
         self.tracer.mark_tag(req.tag, SPAN_COMPLETION_PUSH)
         self.virtio.inject_irq()
@@ -311,12 +304,10 @@ class VPhiBackend:
     # ------------------------------------------------------------------
     # fault injection & recovery (backend side)
     # ------------------------------------------------------------------
-    def _record_injection(self, spec: OpSpec, inj: Injection) -> None:
-        """Book one fired injection against this VM's timeline."""
+    def _record_injection(self, spec: OpSpec) -> None:
+        """Book one fired injection against this VM's counters."""
         self.tracer.count("vphi.fault.injected")
         self.tracer.count(spec.injected_key)
-        self.tracer.emit("vphi.faults", "backend fault injected",
-                         kind=inj.kind, op=spec.op_name, vm=self.vm.name)
 
     def _apply_dispatch_fault(self, spec: OpSpec, req: VPhiRequest,
                               inj: Injection, worker: Optional[int] = None):
@@ -327,7 +318,7 @@ class VPhiBackend:
         descriptors are freed and the frontend's recovery logic decides
         between retry and fail-fast).
         """
-        self._record_injection(spec, inj)
+        self._record_injection(spec)
         if inj.kind == FaultKind.WORKER_DEATH:
             if worker is not None and self.pool is not None:
                 # a pool member died mid-request; QEMU respawns it in
@@ -336,19 +327,12 @@ class VPhiBackend:
                 self.pool.note_death(worker)
                 yield self.sim.timeout(inj.spec.outage)
                 yield self.sim.timeout(self.costs.worker_spawn)
-                self.tracer.emit("vphi.timeline",
-                                 "pool member died, respawned in place",
-                                 tag=req.tag, op=spec.op_name,
-                                 worker=worker, vm=self.vm.name)
             else:
                 # the ad-hoc worker servicing this request dies; QEMU
                 # notices after the respawn delay and completes the
                 # orphan with ECONNRESET so the ring descriptors are
                 # never leaked.
                 yield self.sim.timeout(inj.spec.outage)
-                self.tracer.emit("vphi.timeline",
-                                 "worker respawned, orphan request aborted",
-                                 tag=req.tag, op=spec.op_name, vm=self.vm.name)
         elif inj.kind == FaultKind.CARD_RESET:
             # a card reset is machine-wide: every VM sharing the card
             # loses its host-side endpoints, and every in-flight pooled
@@ -361,18 +345,12 @@ class VPhiBackend:
                     inj, origin_worker=worker if be is self else None
                 )
             yield self.sim.timeout(inj.spec.outage)
-            self.tracer.emit("vphi.timeline",
-                             "card reset completed, in-flight RMA aborted",
-                             tag=req.tag, op=spec.op_name, vm=self.vm.name)
         elif inj.kind == FaultKind.BACKEND_RESTART:
             # only *this* VM's QEMU process restarts: its host endpoints
             # die with ESHUTDOWN, its pool aborts, its session rebuilds —
             # other VMs sharing the card are untouched.
             self.on_backend_restart(inj, origin_worker=worker)
             yield self.sim.timeout(inj.spec.outage)
-            self.tracer.emit("vphi.timeline",
-                             "backend restarted, host endpoints lost",
-                             tag=req.tag, op=spec.op_name, vm=self.vm.name)
         err = inj.make_error()
         if isinstance(err, ENODEV) and spec.wants_endpoint:
             # the host driver dropped our descriptor: re-open it so the
@@ -402,9 +380,6 @@ class VPhiBackend:
             # cleared the table): surface it instead of swallowing it —
             # a silently "recovered" dead handle would fail much later,
             # far from the cause.
-            self.tracer.emit("vphi.timeline",
-                             "re-open of unknown endpoint handle rejected",
-                             handle=handle, vm=self.vm.name)
             self.tracer.count("vphi.backend.bogus_reopens")
             raise EBADF(
                 f"vphi backend: re-open of unknown endpoint handle {handle}"
@@ -423,9 +398,6 @@ class VPhiBackend:
             self._swap_endpoint(handle)
             self.endpoint_reopens += 1
             self.tracer.count("vphi.backend.endpoint_reopens")
-            self.tracer.emit("vphi.timeline",
-                             "host endpoint re-opened after driver death",
-                             handle=handle, vm=self.vm.name)
         finally:
             del self._reopening[handle]
             gate.succeed()
@@ -511,8 +483,6 @@ class VPhiBackend:
         self._reopening.clear()
         if self.pool is not None:
             self.pool.abort_inflight(err_factory, skip=origin_worker)
-        self.tracer.emit("vphi.timeline", "backend state invalidated",
-                         cause=cause, vm=self.vm.name)
         if self.session_listener is not None:
             self.session_listener(cause)
 
@@ -565,10 +535,6 @@ class VPhiBackend:
         self.requests_served += 1
         self.tracer.count(spec.error_key)
         self.tracer.count(spec.served_key)
-        self.tracer.emit("vphi.timeline", "in-flight request aborted",
-                         tag=req.tag, op=spec.op_name,
-                         error=type(err).__name__, vm=self.vm.name)
-        resp.pushed_at = self.sim.now
         self.virtio.ring.push_used(elem, written=0, header=resp)
         self.tracer.mark_tag(req.tag, SPAN_COMPLETION_PUSH)
         self.virtio.inject_irq()

@@ -16,7 +16,18 @@ from typing import Optional
 from ..mem import KMALLOC_MAX_SIZE
 from .ops import default_nonblocking_ops
 
-__all__ = ["WaitMode", "VPhiConfig"]
+__all__ = ["RECOVERY_SETTLE", "RETRY_BACKOFF", "RETRY_BACKOFF_MAX",
+           "WaitMode", "VPhiConfig"]
+
+#: exponential backoff for transient-fault retries: the first retry
+#: waits ``RETRY_BACKOFF``, each further retry doubles it, capped at
+#: ``RETRY_BACKOFF_MAX`` (see :meth:`VPhiConfig.backoff_for`).
+RETRY_BACKOFF = 100e-6
+RETRY_BACKOFF_MAX = 5e-3
+#: settle delay before a session replay starts (models reset-detection +
+#: re-enumeration latency; also spaces replay retries while the
+#: card-side peer re-establishes its listeners/windows).
+RECOVERY_SETTLE = 1e-3
 
 
 class WaitMode:
@@ -61,10 +72,6 @@ class VPhiConfig:
     #: (the op registry declares idempotency; non-idempotent ops always
     #: fail fast with the typed ScifError).
     max_retries: int = 4
-    #: exponential backoff: first retry waits ``retry_backoff``, each
-    #: further retry doubles it, capped at ``retry_backoff_max``.
-    retry_backoff: float = 100e-6
-    retry_backoff_max: float = 5e-3
     #: size of the backend's persistent worker pool.  ``0`` (the default)
     #: keeps the paper's dispatch exactly: blocking-class ops freeze the
     #: whole VM in QEMU's event loop, unbounded ops spawn ad-hoc worker
@@ -96,10 +103,6 @@ class VPhiConfig:
     recovery_max_resets: int = 3
     #: circuit-breaker sliding window (simulated seconds).
     recovery_window: float = 1.0
-    #: settle delay before replay starts (models reset-detection +
-    #: re-enumeration latency; also spaces replay retries while the
-    #: card-side peer re-establishes its listeners/windows).
-    recovery_settle: float = 1e-3
     #: multi-tenant QoS: this VM's weight under the card arbiter's
     #: ``wfq`` policy — the share of dispatch credits it is entitled to
     #: relative to the other tenants on the card (2.0 gets twice the
@@ -154,8 +157,6 @@ class VPhiConfig:
             raise ValueError("op_timeout must be positive (or None to disable)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff < 0 or self.retry_backoff_max < self.retry_backoff:
-            raise ValueError("need 0 <= retry_backoff <= retry_backoff_max")
         if self.backend_workers < 0:
             raise ValueError("backend_workers must be >= 0 (0 = blocking dispatch)")
         if self.max_inflight < 1:
@@ -169,8 +170,6 @@ class VPhiConfig:
             raise ValueError("recovery_max_resets must be >= 1")
         if self.recovery_window <= 0:
             raise ValueError("recovery_window must be positive")
-        if self.recovery_settle < 0:
-            raise ValueError("recovery_settle must be >= 0")
         if self.qos_share < 0:
             raise ValueError("qos_share must be >= 0 (0 = best-effort)")
         if self.admit_queue_depth is not None and self.admit_queue_depth < 1:
@@ -209,4 +208,4 @@ class VPhiConfig:
     def backoff_for(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based), exponentially
         doubled and bounded."""
-        return min(self.retry_backoff * (2 ** (attempt - 1)), self.retry_backoff_max)
+        return min(RETRY_BACKOFF * (2 ** (attempt - 1)), RETRY_BACKOFF_MAX)

@@ -282,12 +282,6 @@ class VPhiFrontend:
             else:
                 self._max_completed_tag = resp.tag
             self.tracer.mark_tag(resp.tag, SPAN_IRQ_DELIVER)
-            if resp.pushed_at is not None:
-                # completion-push -> ISR-drain gap: the interrupt
-                # delivery latency histogram (coalescing + vCPU
-                # scheduling spread its tail).
-                self.tracer.observe("vphi.irq.delivery_latency",
-                                    self.sim.now - resp.pushed_at)
             self.responses[resp.tag] = resp
         if reaped:
             # reaping released descriptors: unblock parked submitters
@@ -439,7 +433,6 @@ class VPhiFrontend:
     def _do_submit_batch(self, calls: list):
         """The already-admitted body of :meth:`submit_batch`."""
         t0_batch = self.sim.now
-        acc = self.tracer.accumulate
         prepared: list[_Prepared] = []
         try:
             # post every chain, kicking only when the ring runs out of
@@ -484,7 +477,6 @@ class VPhiFrontend:
                 raise first_error
             # one response demux + syscall return for the whole batch
             yield self.sim.timeout(self.costs.guest_return)
-            acc("vphi.phase.guest_return", self.costs.guest_return)
             for p in prepared:
                 self.tracer.mark(p.span, SPAN_GUEST_RETURN)
                 self.tracer.end_span(p.span, "ok")
@@ -516,7 +508,6 @@ class VPhiFrontend:
         journal already holds the fact being replayed).
         """
         t0_req = self.sim.now
-        acc = self.tracer.accumulate
         p = yield from self._prepare(op, handle, args, out_data, in_nbytes,
                                      in_sink=in_sink)
         try:
@@ -528,7 +519,6 @@ class VPhiFrontend:
                 self.session.record(p.spec, p.orig_handle, p.req.args, result)
             # response demux + syscall return to user space
             yield self.sim.timeout(self.costs.guest_return)
-            acc("vphi.phase.guest_return", self.costs.guest_return)
             self.tracer.observe(p.spec.latency_key, self.sim.now - t0_req)
             self.tracer.mark(p.span, SPAN_GUEST_RETURN)
             self.tracer.end_span(p.span, "ok")
@@ -555,7 +545,6 @@ class VPhiFrontend:
         """Marshal one request: header + bounce chunks + user->kernel copy."""
         spec = spec_for(op)
         self.requests += 1
-        acc = self.tracer.accumulate
         # the request's lifecycle span opens here, before any simulated
         # work, so the marshal phase covers the whole guest-kernel entry.
         # It is bound to a tag only at _post_chain (tags are allocated
@@ -570,11 +559,8 @@ class VPhiFrontend:
         if inj is not None:
             self.tracer.count("vphi.fault.injected")
             self.tracer.count(spec.injected_key)
-            self.tracer.emit("vphi.faults", "link flap injected",
-                             kind=inj.kind, op=spec.op_name, vm=self.vm.name)
         # 3b/3c: request marshalling in the guest kernel
         yield self.sim.timeout(self.costs.frontend)
-        acc("vphi.phase.frontend", self.costs.frontend)
         self.tracer.mark(span, SPAN_MARSHAL)
         out_bb: Optional[BounceBuffers] = None
         in_bb: Optional[BounceBuffers] = None
@@ -591,7 +577,6 @@ class VPhiFrontend:
                 # 3i: the user->kernel copy
                 copy_t = len(out_data) / self.host_params.memcpy_bandwidth
                 yield self.sim.timeout(copy_t)
-                acc("vphi.phase.copy", copy_t)
                 self.tracer.mark(span, SPAN_COPY_IN)
                 out_bb.scatter(out_data)
                 out_descs.extend(out_bb.descriptors())
@@ -650,19 +635,13 @@ class VPhiFrontend:
         self.tracer.count(p.spec.counter_key)
         self.tracer.bind_span(p.req.tag, p.span)
         self.tracer.mark(p.span, SPAN_POST)
-        self.tracer.emit("vphi.timeline", "request posted to ring",
-                         tag=p.req.tag, op=p.spec.op_name, phase=p.spec.phase)
 
     def _kick(self, group: list[_Prepared]):
         """Notify the backend once for every chain posted since the last
         kick (3c: one vmexit, however many requests it covers)."""
-        t0 = self.sim.now
         yield from self.virtio.kick()
-        self.tracer.accumulate("vphi.phase.kick", self.sim.now - t0)
         for p in group:
             self.tracer.mark(p.span, SPAN_KICK)
-            self.tracer.emit("vphi.timeline", "backend kicked (vmexit)",
-                             tag=p.req.tag, op=p.spec.op_name, phase=p.spec.phase)
 
     def _reap(self, p: _Prepared, deadline: Optional[float] = None):
         """Park on the configured wait scheme until p's response lands.
@@ -671,17 +650,11 @@ class VPhiFrontend:
         first — the caller's recovery watchdog.
         """
         data_bytes = max(p.req.out_nbytes, p.req.in_nbytes)
-        t0 = self.sim.now
         resp: Optional[VPhiResponse] = yield from self.wait_scheme.wait_for(
             self, p.req.tag, data_bytes, deadline
         )
-        # time parked waiting = backend + host op + irq + wakeup; the
-        # wakeup share is accumulated separately by the wait scheme.
-        self.tracer.accumulate("vphi.phase.wait", self.sim.now - t0)
         if resp is not None:
             self.tracer.mark(p.span, SPAN_GUEST_WAKE)
-            self.tracer.emit("vphi.timeline", "response reaped after wakeup",
-                             tag=p.req.tag, op=p.spec.op_name, phase=p.spec.phase)
         return resp
 
     def _complete(self, p: _Prepared, replay: bool = False):
@@ -729,8 +702,6 @@ class VPhiFrontend:
                 if attempt:
                     self.tracer.count(spec.recovered_key)
                     self.tracer.count("vphi.fault.recovered")
-                    self.tracer.emit("vphi.timeline", "request recovered after retry",
-                                     tag=p.req.tag, op=spec.op_name, attempts=attempt)
                 return resp
             if isinstance(err, EStaleEpoch):
                 ses = self.session
@@ -740,10 +711,6 @@ class VPhiFrontend:
                     self.retries += 1
                     self.tracer.count(spec.retried_key)
                     self.tracer.count("vphi.fault.retried")
-                    self.tracer.emit("vphi.timeline",
-                                     "stale epoch, awaiting session rebuild",
-                                     tag=p.req.tag, op=spec.op_name,
-                                     epoch=ses.epoch)
                     yield from ses.await_active()  # raises if circuit opens
                     self.tracer.mark(p.span, SPAN_SESSION_WAIT)
                     p.renew_tag(next(self._tags))
@@ -768,9 +735,6 @@ class VPhiFrontend:
             self.retries += 1
             self.tracer.count(spec.retried_key)
             self.tracer.count("vphi.fault.retried")
-            self.tracer.emit("vphi.timeline", "transient fault, retrying",
-                             tag=p.req.tag, op=spec.op_name, attempt=attempt,
-                             error=type(err).__name__)
             yield self.sim.timeout(cfg.backoff_for(attempt))
             self.tracer.mark(p.span, SPAN_RETRY_BACKOFF)
             p.renew_tag(next(self._tags))
@@ -783,7 +747,6 @@ class VPhiFrontend:
         if p.in_bb is not None and resp.written:
             copy_t = resp.written / self.host_params.memcpy_bandwidth
             yield self.sim.timeout(copy_t)
-            self.tracer.accumulate("vphi.phase.copy", copy_t)
             self.tracer.mark(p.span, SPAN_COPY_OUT)
             if p.in_sink is not None:
                 # stream bounce-chunk views straight to the consumer —

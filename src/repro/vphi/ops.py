@@ -23,8 +23,8 @@ needs to know about one operation is declared *here*, exactly once, as an
   fault is observably identical to running it once.  The frontend's
   recovery machinery retries idempotent ops (bounded exponential
   backoff) and fails non-idempotent ones fast with the typed ScifError;
-* the **trace phase label** and the derived per-op counter/latency keys
-  the frontend, backend and :mod:`repro.analysis.breakdown` share;
+* the derived per-op counter/latency keys the frontend, backend and
+  :mod:`repro.analysis.breakdown` share;
 * optional **cost hooks** — fixed simulated time charged host-side before
   and after the handler (syscall entry, completion message).
 
@@ -162,8 +162,6 @@ class OpSpec:
     #: running it once (reads, window RMA to explicit offsets, pure
     #: queries).  Drives the frontend's retry-vs-fail-fast decision.
     idempotent: bool = False
-    #: trace phase label (timeline annotations; defaults to the wire name).
-    phase: str = ""
     #: the op references an existing backend endpoint via ``req.handle``.
     wants_endpoint: bool = True
     #: op may carry a guest->host bulk payload (out descriptors).
@@ -285,8 +283,7 @@ class OpSpec:
     # sequence are declared exactly once (here).
     # ------------------------------------------------------------------
     def begin_span(self, tracer, vm: str = ""):
-        """Open this op's request-lifecycle span (None when the tracer
-        has spans disabled)."""
+        """Open this op's request-lifecycle span."""
         return tracer.new_span(self.op_name, vm=vm)
 
     # ------------------------------------------------------------------
@@ -355,7 +352,6 @@ def register(
     args: tuple[ArgSpec, ...] = (),
     blocking_class: str = BLOCKING,
     idempotent: bool = False,
-    phase: str = "",
     wants_endpoint: bool = True,
     carries_out: bool = False,
     carries_in: bool = False,
@@ -383,7 +379,6 @@ def register(
             args=tuple(args),
             blocking_class=blocking_class,
             idempotent=idempotent,
-            phase=phase or op.value,
             wants_endpoint=wants_endpoint,
             carries_out=carries_out,
             carries_in=carries_in,

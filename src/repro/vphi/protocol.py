@@ -81,9 +81,3 @@ class VPhiResponse:
     #: echo of the request's op (lets the frontend attribute dropped
     #: stale completions to the right per-op counter).
     op: Optional[VPhiOp] = None
-    #: simulated time the backend pushed this completion onto the used
-    #: ring (None for synthetic responses, e.g. session fences).  The
-    #: frontend's drain observes ``now - pushed_at`` as the
-    #: interrupt-delivery latency histogram — the gap notification
-    #: coalescing and vCPU scheduling insert between completion and ISR.
-    pushed_at: Optional[float] = None

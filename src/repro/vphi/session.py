@@ -43,6 +43,7 @@ from typing import Any, Optional
 
 from ..scif.errors import EStaleEpoch, ScifError
 from ..sim import WaitQueue
+from .config import RECOVERY_SETTLE
 from .protocol import VPhiOp, VPhiResponse
 
 __all__ = [
@@ -308,11 +309,7 @@ class SessionManager:
         if self.state == RECOVERING:
             self.queued_submits += 1
             self.tracer.count("vphi.session.queued")
-        t0 = self.sim.now
         yield from self.await_active()
-        # degraded-mode submit latency: how long queued submits sat out
-        # the rebuild (histogram — the tail is the interesting part).
-        self.tracer.observe("vphi.session.gate_wait", self.sim.now - t0)
 
     def await_active(self):
         """Process: park until the session is ACTIVE (raise if BROKEN)."""
@@ -334,8 +331,6 @@ class SessionManager:
         backend services anything else."""
         self.resets_seen += 1
         self.tracer.count("vphi.session.invalidated")
-        self.tracer.emit("vphi.timeline", "session invalidated",
-                         cause=cause, epoch=self.epoch, vm=self.vm.name)
         if not self.enabled:
             return
         self._fence_and_abort(cause)
@@ -350,8 +345,6 @@ class SessionManager:
                 and len(self._reset_times) > self.frontend.config.recovery_max_resets):
             self.state = BROKEN
             self.tracer.count("vphi.session.circuit_open")
-            self.tracer.emit("vphi.timeline", "session circuit opened",
-                             resets=self.resets_seen, vm=self.vm.name)
             self.rebuilt.wake_all()
             return
         if self.state != RECOVERING:
@@ -387,11 +380,10 @@ class SessionManager:
 
     def _recover(self):
         """Process: settle, then replay the journal until the epoch holds."""
-        cfg = self.frontend.config
         t0 = self.sim.now
         while True:
             round_epoch = self.epoch
-            yield self.sim.timeout(cfg.recovery_settle)
+            yield self.sim.timeout(RECOVERY_SETTLE)
             try:
                 yield from self._replay_all(round_epoch)
             except EStaleEpoch:
@@ -408,13 +400,8 @@ class SessionManager:
             break
         self.state = ACTIVE
         self.recoveries += 1
-        elapsed = self.sim.now - t0
-        self.rebuild_times.append(elapsed)
+        self.rebuild_times.append(self.sim.now - t0)
         self.tracer.count("vphi.session.recovered")
-        self.tracer.observe("vphi.session.rebuild_time", elapsed)
-        self.tracer.emit("vphi.timeline", "session rebuilt",
-                         epoch=self.epoch, replayed=self.replayed_ops,
-                         elapsed=elapsed, vm=self.vm.name)
         self.rebuilt.wake_all(per_waiter_cost=self.frontend.costs.wakeup_per_waiter)
 
     def _replay_all(self, round_epoch: int):
@@ -477,9 +464,6 @@ class SessionManager:
             rec.dead_reason = err
             self.translation.pop(rec.handle, None)
             self.tracer.count("vphi.session.endpoints_lost")
-            self.tracer.emit("vphi.timeline", "endpoint replay abandoned",
-                             handle=rec.handle, error=type(err).__name__,
-                             vm=self.vm.name)
 
     # ------------------------------------------------------------------
     # live migration (driven by repro.cluster.migrate.live_migrate)
@@ -487,7 +471,7 @@ class SessionManager:
     #: polling grain while waiting for in-flight tags to drain.
     QUIESCE_POLL = 10e-6
 
-    def begin_migration(self, dest: str) -> None:
+    def begin_migration(self) -> None:
         """Stop admitting new work: the session enters RECOVERING.
 
         New submits park at the degraded-mode gate exactly as they do
@@ -506,8 +490,6 @@ class SessionManager:
             )
         self.state = RECOVERING
         self.tracer.count("vphi.session.migration_started")
-        self.tracer.emit("vphi.timeline", "migration started",
-                         dest=dest, epoch=self.epoch, vm=self.vm.name)
 
     def quiesce(self):
         """Process: drain every in-flight tag before the fence.
@@ -557,7 +539,7 @@ class SessionManager:
             except EStaleEpoch:
                 if self.state == BROKEN:
                     return
-                yield self.sim.timeout(self.frontend.config.recovery_settle)
+                yield self.sim.timeout(RECOVERY_SETTLE)
                 continue
             if self.epoch != round_epoch:
                 continue
@@ -586,8 +568,6 @@ class SessionManager:
         self._fence_and_abort(cause)
         self.state = BROKEN
         self.tracer.count("vphi.session.evicted")
-        self.tracer.emit("vphi.timeline", "session evicted",
-                         cause=cause, vm=self.vm.name)
         self.rebuilt.wake_all()
 
     def _replay_op(self, op: VPhiOp, handle: int = 0,
@@ -613,7 +593,7 @@ class SessionManager:
                 raise
             except ScifError as err:
                 last = err
-                yield self.sim.timeout(fe.config.recovery_settle)
+                yield self.sim.timeout(RECOVERY_SETTLE)
                 continue
             self.replayed_ops += 1
             self.tracer.count("vphi.session.replayed")

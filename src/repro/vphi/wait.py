@@ -58,7 +58,6 @@ class InterruptWait:
             # woken by the ISR: being rescheduled and scanning the shared
             # ring is the dominant cost of the whole vPHI path (§IV-B).
             yield sim.timeout(self.costs.wakeup_scheme)
-            frontend.tracer.accumulate("vphi.wait_scheme_time", self.costs.wakeup_scheme)
         return frontend.claim_response(tag)
 
 

@@ -1,75 +1,33 @@
-"""Tracer: counters, accumulators, stats, records, histograms, spans."""
+"""Tracer: counters, accumulators, stats, histograms, spans."""
 
 import pytest
 
 from repro.sim import LatencyStat, SimError, Simulator, Span, Tracer
-from repro.sim.trace import DROPPED_RECORDS_KEY, DROPPED_SPANS_KEY
+from repro.sim.trace import DROPPED_SPANS_KEY
 
 
 def test_counters_always_on():
     t = Tracer()
-    t.emit("cat.a", "hello")
-    t.emit("cat.a", "again")
-    t.emit("cat.b", "other")
+    t.count("cat.a")
+    t.count("cat.a")
+    t.count("cat.b", 3)
     assert t.counters["cat.a"] == 2
-    assert t.counters["cat.b"] == 1
-    # records not kept unless enabled
-    assert len(t.records) == 0
-
-
-def test_enable_records_category():
-    t = Tracer()
-    t.enable("keep")
-    t.emit("keep", "m1", size=10)
-    t.emit("drop", "m2")
-    assert len(t.records) == 1
-    rec = t.records[0]
-    assert rec.category == "keep"
-    assert rec.field("size") == 10
-    assert rec.field("missing", "dflt") == "dflt"
-    t.disable("keep")
-    t.emit("keep", "m3")
-    assert len(t.records) == 1
-
-
-def test_record_all_mode():
-    t = Tracer(record_all=True)
-    t.emit("anything", "x")
-    assert len(t.records) == 1
-
-
-def test_records_ring_buffer_caps_and_counts_drops():
-    t = Tracer(record_all=True, max_records=4)
-    for i in range(10):
-        t.emit("soak", f"m{i}")
-    assert len(t.records) == 4
-    # the newest records survive, the oldest were dropped
-    assert [r.message for r in t.records] == ["m6", "m7", "m8", "m9"]
-    assert t.dropped_records == 6
-    assert t.counters[DROPPED_RECORDS_KEY] == 6
-    # the emit counter still saw every event
-    assert t.counters["soak"] == 10
-
-
-def test_records_uncapped_when_requested():
-    t = Tracer(record_all=True, max_records=None)
-    for i in range(100):
-        t.emit("x", str(i))
-    assert len(t.records) == 100 and t.dropped_records == 0
+    assert t.counters["cat.b"] == 3
 
 
 def test_clock_binding():
     sim = Simulator()
-    t = Tracer(record_all=True)
+    t = Tracer()
     t.bind_clock(lambda: sim.now)
+    spans = []
 
     def proc():
         yield sim.timeout(2.5)
-        t.emit("evt", "later")
+        spans.append(t.new_span("send"))
 
     sim.spawn(proc())
     sim.run()
-    assert t.records[0].time == pytest.approx(2.5)
+    assert spans[0].start == pytest.approx(2.5)
 
 
 def test_accumulate_and_observe():
@@ -128,36 +86,6 @@ def test_latency_stat_zero_values_bucketed():
     assert s.zeros == 2
     assert s.percentile(50) == 0.0
     assert s.percentile(99) == pytest.approx(1e-3)
-
-
-def test_find_and_reset():
-    t = Tracer(record_all=True)
-    t.emit("a", "1")
-    t.emit("b", "2")
-    assert len(t.find("a")) == 1
-    t.reset()
-    assert len(t.records) == 0 and not t.counters and not t.accumulators
-
-
-def test_summary_renders():
-    t = Tracer()
-    t.count("ops", 5)
-    t.accumulate("time", 1.5)
-    s = t.summary()
-    assert "ops: 5" in s
-    assert "time" in s
-
-
-def test_summary_category_filter_applies_to_accumulators():
-    t = Tracer()
-    t.count("keep.ops", 2)
-    t.count("drop.ops", 3)
-    t.accumulate("keep.ops", 1.0)
-    t.accumulate("drop.time", 9.0)
-    s = t.summary(categories=["keep.ops"])
-    assert "keep.ops" in s
-    assert "drop.ops" not in s
-    assert "drop.time" not in s  # the filter reaches the accumulators too
 
 
 # ----------------------------------------------------------------------
@@ -227,8 +155,9 @@ def test_tracer_mark_skips_closed_spans():
 
 
 def test_tracer_spans_disabled_is_nullop():
-    t = Tracer(record_spans=False)
-    assert t.new_span("send") is None
+    """A caller with spans off (``VPhiConfig(trace_spans=False)``) passes
+    ``None`` for its span; every span method takes it as a no-op."""
+    t = Tracer()
     t.bind_span(1, None)
     t.mark(None, "x")
     t.end_span(None)
@@ -290,31 +219,35 @@ def test_export_chrome_trace_include_open():
 
 def test_reset_clears_spans():
     sim, t = _clocked_tracer()
+    t.count("ops")
+    t.accumulate("bytes", 1.0)
+    t.observe("lat", 1.0)
     t.bind_span(1, t.new_span("send"))
     t.end_span(t.new_span("recv"), "ok")
     t.reset()
+    assert not t.counters and not t.accumulators and not t.stats
     assert not t.active_spans and len(t.spans) == 0
-    assert t.dropped_spans == 0 and t.dropped_records == 0
+    assert t.dropped_spans == 0
 
 
 def test_replacing_a_ring_rebinds_its_drop_bookkeeping():
-    """The bound checks are hoisted to precomputed caps; swapping in a
-    replacement deque (as soak harnesses do) must rebind them — drops
-    keep being counted against the *new* cap, and uncapped replacements
-    stop counting drops entirely."""
+    """The bound check is hoisted to a precomputed cap; swapping in a
+    replacement deque (as soak harnesses do) must rebind it — drops
+    keep being counted against the *new* cap, and an uncapped
+    replacement stops counting drops entirely."""
     from collections import deque
 
-    t = Tracer(record_all=True, max_records=100)
-    t.records = deque(maxlen=2)
+    sim, t = _clocked_tracer()
+    t.spans = deque(maxlen=2)
     for i in range(5):
-        t.emit("soak", f"m{i}")
-    assert [r.message for r in t.records] == ["m3", "m4"]
-    assert t.dropped_records == 3
-    assert t.counters[DROPPED_RECORDS_KEY] == 3
+        t.end_span(t.new_span(f"m{i}"), "ok")
+    assert [s.op for s in t.spans] == ["m3", "m4"]
+    assert t.dropped_spans == 3
+    assert t.counters[DROPPED_SPANS_KEY] == 3
 
-    t.records = deque()  # uncapped: nothing further drops
+    t.spans = deque()  # uncapped: nothing further drops
     for i in range(10):
-        t.emit("soak", f"n{i}")
-    assert len(t.records) == 10
-    assert t.dropped_records == 3
-    assert t.counters[DROPPED_RECORDS_KEY] == 3
+        t.end_span(t.new_span(f"n{i}"), "ok")
+    assert len(t.spans) == 10
+    assert t.dropped_spans == 3
+    assert t.counters[DROPPED_SPANS_KEY] == 3

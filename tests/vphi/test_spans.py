@@ -28,6 +28,7 @@ from repro.analysis import (
 )
 from repro.scif import MapFlag, ScifError
 from repro.scif.errors import ECONNRESET
+from repro.sim import us
 from repro.vphi import VPhiConfig, registered_ops
 from repro.vphi.ops import SPAN_RETRY_BACKOFF, SPAN_SESSION_WAIT
 
@@ -167,6 +168,42 @@ def test_fault_free_spans_close_and_telescope(workers):
     # pooled dispatch stamps the credit wait; blocking never does
     pooled_phases = dict(send.marks)
     assert ("credit_wait" in pooled_phases) == bool(workers)
+
+
+def test_send_span_stamps_the_fig3_path():
+    """Fig 3's I/O path, read off one blocking-mode 1-byte send's span:
+    every hop stamps its phase in datapath order, and the span's elapsed
+    time is the Fig 4 anchor."""
+    m = Machine(cards=1).boot()
+    vm = m.create_vm("vm0")
+    slib = m.scif(m.card_process("srv"))
+
+    def server():
+        ep = yield from slib.open()
+        yield from slib.bind(ep, PORT)
+        yield from slib.listen(ep)
+        conn, _ = yield from slib.accept(ep)
+        yield from slib.recv(conn, 1)
+
+    glib = vm.vphi.libscif(vm.guest_process("app"))
+
+    def client():
+        ep = yield from glib.open()
+        yield from glib.connect(ep, (m.card_node_id(0), PORT))
+        yield from glib.send(ep, b"\x01")
+
+    m.sim.spawn(server())
+    vm.spawn_guest(client())
+    m.run()
+
+    assert [s.op for s in vm.tracer.spans] == ["open", "connect", "send"]
+    send = vm.tracer.spans[-1]
+    assert [phase for phase, _ in send.marks] == [
+        "marshal", "copy_in", "post", "kick", "ring", "backend_pop",
+        "host_call", "completion_push", "irq_deliver", "guest_wake",
+        "guest_return",
+    ]
+    assert send.elapsed == pytest.approx(us(382), rel=0.01)
 
 
 def test_span_breakdown_and_export_agree_with_spans():
