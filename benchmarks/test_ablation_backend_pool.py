@@ -136,7 +136,7 @@ def test_ablation_backend_pool(run_once):
         assert s.peak_inflight >= 2, f"{s.vm} streams never overlapped"
         assert s.peak_inflight <= POOL_WORKERS * STREAMS_PER_VM
     # --- the shared arbiter granted every VM its turns ---
-    arb = machine.vphi_arbiter
+    arb = machine.arbiter_for(0)
     assert arb.free == arb.slots
     for vm in vms:
         assert arb.grants_by_vm.get(vm.name, 0) > 0

@@ -16,6 +16,7 @@ from conftest import fmt_size, fresh_machine, print_table
 from repro import FaultKind, FaultPlan, FaultSpec, Machine
 from repro.scif.errors import ECONNRESET
 from repro.sim import us
+from repro.vphi import VPhiOp, registered_ops, spec_for
 from repro.workloads import ClientContext, sendrecv_latency
 
 FIG4_SIZES = [1, 64, 256, 1024, 4096, 16384, 65536]
@@ -128,18 +129,20 @@ def test_ablation_fault_recovery(run_once):
     assert len(fault_lats) == RMA_OPS
     assert resets >= 1 + RMA_OPS // 100  # the send hit + one per 100 reads
     assert flaps == 1
-    assert vm1.vphi.frontend.retries == vm1.tracer.counters["vphi.fault.retried"]
-    assert (vm1.tracer.counters["vphi.fault.recovered"]
-            == vm1.tracer.counters["vphi.op.vreadfrom.retried"])
+    c1 = vm1.tracer.counters
+    assert vm1.vphi.frontend.retries == sum(c1[s.retried_key] for s in registered_ops())
+    assert (sum(c1[s.recovered_key] for s in registered_ops())
+            == c1[spec_for(VPhiOp.VREADFROM).retried_key])
     # --- the non-idempotent send surfaced its typed error, unretried ---
     assert isinstance(send_error, ECONNRESET)
-    assert vm1.tracer.counters["vphi.op.send.failed"] == 1
-    assert vm1.tracer.counters["vphi.op.send.retried"] == 0
+    send = spec_for(VPhiOp.SEND)
+    assert c1[send.failed_key] == 1
+    assert c1[send.retried_key] == 0
     # --- recovery overhead is real but bounded ---
     assert overhead > 0
     assert overhead < 0.25
     # --- vm2 is untouched: no faults, and Fig 4 within 5% pointwise ---
-    assert vm2.tracer.counters["vphi.fault.injected"] == 0
+    assert sum(vm2.tracer.counters[s.injected_key] for s in registered_ops()) == 0
     assert vm2.vphi.frontend.retries == 0
     for (size, base), (_, got) in zip(base_fig4, fault_fig4):
         assert got == pytest.approx(base, rel=0.05), fmt_size(size)

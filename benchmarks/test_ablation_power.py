@@ -81,7 +81,7 @@ def run_tail_scenario(throttled: bool):
         deepest = len(m.devices[0].power.pstates) - 1
         m.pepc().set_pstate(deepest, Scope.one_card(0))
     rma_read_throughput(m, ClientContext.guest(vm), TAIL_TRANSFERS)
-    return throttle_tail(vm.tracer, ops=[TAIL_OP])
+    return throttle_tail(vm, ops=[TAIL_OP])
 
 
 # ----------------------------------------------------------------------

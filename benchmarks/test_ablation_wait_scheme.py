@@ -11,6 +11,7 @@ import pytest
 from conftest import fmt_size, fresh_machine, print_table
 from repro.sim import us
 from repro.vphi import VPhiConfig, WaitMode
+from repro.vphi.wait import POLL_CPU_KEY
 from repro.workloads import ClientContext, sendrecv_latency
 
 SIZES = [1, 1024, 16384, 65536, 262144]
@@ -20,11 +21,9 @@ def run_wait_ablation():
     out = {}
     for mode in (WaitMode.INTERRUPT, WaitMode.POLLING, WaitMode.HYBRID):
         machine = fresh_machine()
-        vm = machine.create_vm(
-            "vm0", vphi_config=VPhiConfig(wait_mode=mode, hybrid_threshold=32 * 1024)
-        )
+        vm = machine.create_vm("vm0", vphi_config=VPhiConfig(wait_mode=mode))
         series = sendrecv_latency(machine, ClientContext.guest(vm), SIZES)
-        poll_cpu = vm.vphi.frontend.tracer.accumulators.get("vphi.poll_cpu_time", 0.0)
+        poll_cpu = vm.vphi.frontend.tracer.accumulators.get(POLL_CPU_KEY, 0.0)
         out[mode] = (series, poll_cpu)
     return out
 

@@ -48,8 +48,8 @@ def main() -> None:
           f"{uos.scheduler.peak_demand} "
           f"(oversubscribed {uos.scheduler.peak_demand / uos.scheduler.slots:.1f}x, "
           "multiplexed by the uOS scheduler)")
-    sent = int(machine.tracer.accumulators.get("scif.bytes_sent", 0))
-    print(f"SCIF moved {sent >> 20} MB of binaries/control over the PCIe bus")
+    sent = sum(p.value.transferred_bytes for _, p in procs)
+    print(f"SCIF moved {sent >> 20} MB of binaries and inputs over the PCIe bus")
     print("OK")
 
 

@@ -380,7 +380,7 @@ def recovery_stats(vm) -> RecoveryStats:
         recoveries=ses.recoveries,
         replayed_ops=ses.replayed_ops,
         replay_failures=ses.replay_failures,
-        endpoints_lost=ses.tracer.counters.get("vphi.session.endpoints_lost", 0),
+        endpoints_lost=ses.endpoints_lost,
         aborted_inflight=ses.aborted_inflight,
         stale_dropped=ses.stale_drops,
         queued_submits=ses.queued_submits,

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ..sim import Tracer
-
 __all__ = [
     "CardPowerStats",
     "PowerReport",
@@ -140,9 +138,8 @@ def _percentile(sorted_vals: list[float], q: float) -> float:
     return sorted_vals[idx]
 
 
-def throttle_tail(tracer: Tracer,
-                  ops: Optional[Iterable[str]] = None) -> dict[str, dict]:
-    """Per-op latency percentiles from the span record, throttle-aware.
+def throttle_tail(vm, ops: Optional[Iterable[str]] = None) -> dict[str, dict]:
+    """Per-op latency percentiles from one VM's span record, throttle-aware.
 
     Returns ``{op: {count, p50, p99, max}}`` from closed ok spans, plus
     a ``"_throttled_ops"`` entry carrying the backend's count of
@@ -151,7 +148,7 @@ def throttle_tail(tracer: Tracer,
     """
     wanted = set(ops) if ops is not None else None
     by_op: dict[str, list[float]] = {}
-    for span in tracer.spans:
+    for span in vm.tracer.spans:
         if span.status != "ok":
             continue
         if wanted is not None and span.op not in wanted:
@@ -166,7 +163,5 @@ def throttle_tail(tracer: Tracer,
             "p99": _percentile(vals, 0.99),
             "max": vals[-1],
         }
-    out["_throttled_ops"] = {
-        "count": tracer.counters["vphi.backend.throttled_ops"],
-    }
+    out["_throttled_ops"] = {"count": vm.vphi.backend.throttled_ops}
     return out

@@ -34,10 +34,6 @@ __all__ = [
     "render_qos",
 ]
 
-#: per-op frontend latency keys all start with this and end with this.
-_OP_PREFIX = "vphi.op."
-_LATENCY_SUFFIX = ".latency"
-
 
 def jain_index(values: Iterable[float]) -> float:
     """Jain's fairness index of a sample; 1.0 for an empty/zero sample
@@ -53,10 +49,13 @@ def jain_index(values: Iterable[float]) -> float:
 
 def merged_latency_stat(vm, name: str = "merged") -> LatencyStat:
     """One tenant's end-to-end request latency distribution, merged
-    bucket-by-bucket from its per-op histograms."""
+    bucket-by-bucket from the histograms of its registered ops."""
+    from ..vphi.ops import registered_ops
+
+    latency_keys = {spec.latency_key for spec in registered_ops()}
     merged = LatencyStat(name)
     for key, stat in vm.tracer.stats.items():
-        if not (key.startswith(_OP_PREFIX) and key.endswith(_LATENCY_SUFFIX)):
+        if key not in latency_keys:
             continue
         merged.count += stat.count
         merged.total += stat.total

@@ -189,7 +189,6 @@ def live_migrate(cluster, vm, dest: CardRef, precopy: bool = True):
     vm.tracer.end_span(span, "error" if report.broken else "ok")
 
     cluster.migrations.append(report)
-    cluster.tracer.count("cluster.migrations")
     return report
 
 

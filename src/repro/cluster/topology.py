@@ -34,7 +34,7 @@ from ..analysis.calibration import HOST, HostParams
 from ..faults import FaultKind, FaultPlan
 from ..pcie import LinkConfig
 from ..scif.errors import ENXIO, EStaleEpoch
-from ..sim import Mutex, SimError, Simulator, Tracer
+from ..sim import Mutex, SimError, Simulator
 from ..system import Machine
 from ..vphi import VPhiConfig
 from .place import PlacementScheduler
@@ -80,7 +80,6 @@ class InterHostFabric:
         hop_latency: Optional[float] = None,
         hop_bandwidth: Optional[float] = None,
         topology: str = "flat",
-        tracer: Optional[Tracer] = None,
     ):
         if hosts < 1:
             raise ValueError("fabric needs at least one host")
@@ -92,7 +91,6 @@ class InterHostFabric:
         self.sim = sim
         self.hosts = hosts
         self.topology = topology
-        self.tracer = tracer
         link = LinkConfig(generation=3, lanes=8)
         self.hop_latency = (hop_latency if hop_latency is not None
                             else 5.0 * link.msg_latency)
@@ -140,9 +138,6 @@ class InterHostFabric:
             self.bytes_moved += nbytes
             self.transfers += 1
             self.busy_time += t
-            if self.tracer is not None:
-                self.tracer.count("cluster.fabric.transfers")
-                self.tracer.accumulate("cluster.fabric.bytes", nbytes)
             return t
         finally:
             lock.release()
@@ -168,7 +163,6 @@ class Cluster:
         hop_latency: Optional[float] = None,
         hop_bandwidth: Optional[float] = None,
         fabric_topology: str = "flat",
-        tracer: Optional[Tracer] = None,
         sim: Optional[Simulator] = None,
         power_model: str = "none",
         power_config=None,
@@ -179,19 +173,16 @@ class Cluster:
         if cards_per_host < 1:
             raise ValueError("cluster hosts need at least one card")
         self.sim = sim or Simulator()
-        self.tracer = tracer or Tracer()
-        self.tracer.bind_clock(lambda: self.sim.now)
         self.machines = [
             Machine(cards=cards_per_host, card_model=card_model,
                     host_params=host_params, sim=self.sim,
-                    tracer=self.tracer, fault_plan=fault_plan,
+                    fault_plan=fault_plan,
                     power_model=power_model, power_config=power_config)
             for _ in range(hosts)
         ]
         self.fabric = InterHostFabric(
             self.sim, hosts, hop_latency=hop_latency,
             hop_bandwidth=hop_bandwidth, topology=fabric_topology,
-            tracer=self.tracer,
         )
         self.scheduler = PlacementScheduler(
             self, policy=placement, host_power_budget=host_power_budget)
@@ -396,7 +387,6 @@ class Cluster:
         self.scheduler.release(vm.name)
         self.placements.pop(vm.name, None)
         self.evicted.append(vm.name)
-        self.tracer.count("cluster.evictions")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -10,10 +10,11 @@ and simulated time — whether a fault fires there, and returns an
 case, at the cost of one tuple-filter pass over the armed specs).
 
 Fired injections are recorded twice: in the injector's global ``log``
-(workload-wide audit, ordered) and through the per-VM tracer at the site
-(``vphi.fault.injected`` + the op's ``injected`` key), so per-VM
-recovery accounting in :func:`repro.analysis.per_op_stats` lines up with
-what was actually injected into that VM.
+(workload-wide audit, ordered; ``injected`` and :meth:`fires_of` count
+it) and, for vPHI sites, under the op's ``injected_key`` on the per-VM
+tracer, so per-VM recovery accounting in
+:func:`repro.analysis.per_op_stats` lines up with what was actually
+injected into that VM.
 """
 
 from __future__ import annotations
@@ -103,11 +104,9 @@ class _SpecState:
 class FaultInjector:
     """Deterministic fault source for one simulated machine."""
 
-    def __init__(self, plan: Optional[FaultPlan] = None, sim=None, tracer=None):
+    def __init__(self, plan: Optional[FaultPlan] = None, sim=None):
         self.plan = plan or FaultPlan.none()
         self.sim = sim
-        #: the machine-level tracer (global audit counters).
-        self.tracer = tracer
         self._states = [_SpecState(s) for s in self.plan.specs]
         #: every fired injection, in firing order.
         self.log: list[Injection] = []
@@ -178,9 +177,6 @@ class FaultInjector:
                 op=op, vm=vm, seq=len(self.log),
             )
             self.log.append(inj)
-            if self.tracer is not None:
-                self.tracer.count("faults.injected")
-                self.tracer.count(f"faults.injected.{spec.kind}")
             if spec.kind == FaultKind.LINK_FLAP:
                 for link in self.links:
                     link.flap(spec.outage)
@@ -194,9 +190,9 @@ class FaultInjector:
 
         Cluster churn (card hot-unplug, host failure) is *commanded* by
         the topology layer, not sampled on a datapath, but it must still
-        land in the same audit trail — ``log`` order, tracer counters,
-        ``fires_of`` — that the pull-based plans feed, so a chaos run's
-        post-mortem sees one interleaved fault history.
+        land in the same audit trail — ``log`` order and ``fires_of`` —
+        that the pull-based plans feed, so a chaos run's post-mortem
+        sees one interleaved fault history.
         """
         from .plan import SITE_FOR_KIND, FaultSpec
 
@@ -209,9 +205,6 @@ class FaultInjector:
             op=op, vm=vm, seq=len(self.log),
         )
         self.log.append(inj)
-        if self.tracer is not None:
-            self.tracer.count("faults.injected")
-            self.tracer.count(f"faults.injected.{kind}")
         return inj
 
     def fires_of(self, kind: str) -> int:

@@ -10,7 +10,7 @@ API entry point, with a dataclass standing in for the C request struct.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 __all__ = ["ScifIoctl", "IoctlRequest"]
@@ -57,5 +57,3 @@ class IoctlRequest:
     offset: Optional[int] = None
     prot: int = 0
     mark: int = 0
-    #: free-form extras (kept for forward compat with vPHI's wire format)
-    extra: dict = field(default_factory=dict)

@@ -14,9 +14,8 @@ failure mode the paper describes is testable.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..sim import Tracer
 from ..mem import (
     AddressSpace,
     BadAddress,
@@ -51,28 +50,19 @@ class PfnPhiInfo:
 
 
 class KvmMmu:
-    """The host-side second-level fault handler for one VM.
+    """The host-side second-level fault handler for one VM."""
 
-    Fault counts are kept on the per-VM tracer (``kvm.fault.pfnphi`` /
-    ``kvm.fault.regular``).
-    """
-
-    def __init__(self, vm_name: str, modified: bool = True,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, vm_name: str, modified: bool = True):
         self.vm_name = vm_name
         #: whether the paper's <10-LOC patch is applied.
         self.modified = modified
-        self.tracer = tracer or Tracer()
-
-    @property
-    def pfnphi_faults(self) -> int:
-        """EPT faults resolved through the VM_PFNPHI patch."""
-        return self.tracer.counters["kvm.fault.pfnphi"]
-
-    @property
-    def regular_faults(self) -> int:
-        """EPT faults on untagged VMAs (always unresolvable here)."""
-        return self.tracer.counters["kvm.fault.regular"]
+        #: EPT faults resolved through the VM_PFNPHI patch.
+        self.pfnphi_faults = 0
+        #: EPT faults on untagged VMAs (always unresolvable here).
+        self.regular_faults = 0
+        #: :meth:`zap_vma` calls (one per mapping re-established by a
+        #: session rebuild or migration).
+        self.vma_zaps = 0
 
     def handle_fault(self, space: AddressSpace, vma: VMA, page_vaddr: int):
         """Resolve one guest fault.  Installed as the VMA fault handler for
@@ -90,13 +80,13 @@ class KvmMmu:
             info = vma.private
             if not isinstance(info, PfnPhiInfo):
                 raise PageFault(page_vaddr, "PFNPHI vma without stored frame info")
-            self.tracer.count("kvm.fault.pfnphi")
+            self.pfnphi_faults += 1
             rel = page_align_down(page_vaddr) - vma.start
             mem, paddr = info.locate(rel)
             if paddr % PAGE_SIZE:
                 raise PageFault(page_vaddr, "PFNPHI mapping not page aligned")
             return mem, paddr
-        self.tracer.count("kvm.fault.regular")
+        self.regular_faults += 1
         raise PageFault(page_vaddr, f"kvm[{self.vm_name}]: unhandled EPT fault")
 
     def zap_vma(self, space: AddressSpace, vma: VMA) -> int:
@@ -114,6 +104,5 @@ class KvmMmu:
             if space.is_present(vaddr):
                 space.unmap_page(vaddr)
                 zapped += 1
-        self.tracer.count("kvm.zap.vma")
-        self.tracer.count("kvm.zap.pages", zapped)
+        self.vma_zaps += 1
         return zapped

@@ -70,7 +70,7 @@ class VirtualMachine:
         #: QEMU: one host process per VM (this is what enables sharing).
         self.qemu_process: OSProcess = host_kernel.create_process(f"qemu-{name}")
         self.qemu = QemuProcess(sim, self.qemu_process, self.domain, costs=costs)
-        self.mmu = KvmMmu(name, modified=kvm_modified, tracer=self.tracer)
+        self.mmu = KvmMmu(name, modified=kvm_modified)
         self.host_kernel = host_kernel
 
     # ------------------------------------------------------------------

@@ -172,7 +172,6 @@ class PhiPowerModel:
         self.sku = sku
         self.config = config or PowerConfig()
         self.name = name
-        self.tracer = None  # optionally bound by the owning Machine
         self.pstates = pstate_table(sku)
         cfg = self.config
         #: the boot-default cap :meth:`reset_state` restores.
@@ -358,10 +357,7 @@ class PhiPowerModel:
             if self.power_watts(floor=idx) <= self.tdp_cap + 1e-9:
                 floor = idx
                 break
-        if floor != self.throttle_idx:
-            self.throttle_idx = floor
-            if self.tracer is not None:
-                self.tracer.count("phi.power.floor_changes")
+        self.throttle_idx = floor
         self._push_scale()
 
     def _push_scale(self) -> None:

@@ -77,7 +77,6 @@ class NativeScif:
         self.process = process
         self.costs = costs
         self.host_params = host_params
-        self.tracer = fabric.tracer
 
     # ------------------------------------------------------------------
     # small helpers
@@ -96,7 +95,6 @@ class NativeScif:
         """scif_open(): create an endpoint descriptor."""
         yield self.sim.timeout(self.costs.syscall)
         ep = Endpoint(self.sim, self.node, owner=self.process.name)
-        self.tracer.count("scif.open")
         return ep
 
     def bind(self, ep: Endpoint, port: int = 0):
@@ -105,7 +103,6 @@ class NativeScif:
         if ep.state not in (EpState.NEW,):
             raise EINVAL(f"bind on endpoint in state {ep.state.value}")
         bound = self.node.bind(ep, port)
-        self.tracer.count("scif.bind")
         return bound
 
     def listen(self, ep: Endpoint, backlog: int = 16):
@@ -117,7 +114,6 @@ class NativeScif:
             raise EINVAL("backlog must be positive")
         ep.backlog = Channel(self.sim, capacity=backlog, name=f"ep{ep.id}-backlog")
         ep.state = EpState.LISTENING
-        self.tracer.count("scif.listen")
         return 0
 
     def connect(self, ep: Endpoint, addr: tuple[int, int]):
@@ -150,7 +146,6 @@ class NativeScif:
             raise ECONNREFUSED(f"listener at {addr} closed") from None
         # accept-ack travels back
         yield self.sim.timeout(self.fabric.msg_delay(self.node.node_id, dst_node_id))
-        self.tracer.count("scif.connect")
         return ep.port
 
     def accept(self, lep: Endpoint, block: bool = True):
@@ -176,7 +171,6 @@ class NativeScif:
         req.src_ep.peer_addr = (self.node.node_id, lep.port)
         req.src_ep.state = EpState.CONNECTED
         req.reply.succeed(new_ep)
-        self.tracer.count("scif.accept")
         return new_ep, req.src_addr
 
     def close(self, ep: Endpoint):
@@ -202,7 +196,6 @@ class NativeScif:
         ep.state = EpState.CLOSED
         ep.recv_wait.wake_all()
         ep.poll_wait.wake_all()
-        self.tracer.count("scif.close")
         return 0
 
     # ------------------------------------------------------------------
@@ -222,7 +215,6 @@ class NativeScif:
         if len(payload) == 0:
             # scif_send(ep, buf, 0) returns 0 without touching the wire
             # (matching Linux); the connection checks above still apply.
-            self.tracer.count("scif.send")
             return 0
         remote_id = ep.peer_addr[0]
         wire = self.fabric.msg_delay(self.node.node_id, remote_id)
@@ -234,8 +226,6 @@ class NativeScif:
         # flow-control ack returns
         yield self.sim.timeout(wire + self.costs.completion)
         ep.bytes_sent += len(payload)
-        self.tracer.count("scif.send")
-        self.tracer.accumulate("scif.bytes_sent", len(payload))
         return len(payload)
 
     def recv(self, ep: Endpoint, nbytes: int, flags: RecvFlag = RecvFlag.SCIF_RECV_BLOCK):
@@ -248,7 +238,6 @@ class NativeScif:
         if nbytes == 0:
             # zero-length recv completes immediately with an empty buffer
             # (mirroring the zero-length send: header only, no payload).
-            self.tracer.count("scif.recv")
             return ep.dequeue_rx(0)
         block = bool(flags & RecvFlag.SCIF_RECV_BLOCK)
         if block:
@@ -266,7 +255,6 @@ class NativeScif:
         out = ep.dequeue_rx(nbytes)
         # user<->kernel copy-out
         yield self.sim.timeout(len(out) / self.host_params.memcpy_bandwidth)
-        self.tracer.count("scif.recv")
         return out
 
     # ------------------------------------------------------------------
@@ -303,14 +291,12 @@ class NativeScif:
             raise
         # pinning cost scales with page count
         yield self.sim.timeout(self.costs.pin_page * (nbytes // PAGE_SIZE))
-        self.tracer.count("scif.register")
         return win.offset
 
     def unregister(self, ep: Endpoint, offset: int):
         """scif_unregister(): drop a window and unpin its pages."""
         yield self._syscall()
         ep.windows.remove(offset)
-        self.tracer.count("scif.unregister")
         return 0
 
     def _remote_sg(self, ep: Endpoint, roffset: int, nbytes: int, require: Prot):
@@ -327,8 +313,6 @@ class NativeScif:
         remote_sg = self._remote_sg(ep, roffset, nbytes, Prot.SCIF_PROT_READ)
         yield from execute_rma(ep, "read", local_sg, remote_sg, nbytes, flags, self.costs)
         yield self.sim.timeout(self.costs.completion)
-        self.tracer.count("scif.readfrom")
-        self.tracer.accumulate("scif.rma_bytes", nbytes)
         return nbytes
 
     def writeto(self, ep: Endpoint, loffset: int, nbytes: int, roffset: int,
@@ -340,8 +324,6 @@ class NativeScif:
         remote_sg = self._remote_sg(ep, roffset, nbytes, Prot.SCIF_PROT_WRITE)
         yield from execute_rma(ep, "write", local_sg, remote_sg, nbytes, flags, self.costs)
         yield self.sim.timeout(self.costs.completion)
-        self.tracer.count("scif.writeto")
-        self.tracer.accumulate("scif.rma_bytes", nbytes)
         return nbytes
 
     def vreadfrom(self, ep: Endpoint, vaddr: int, nbytes: int, roffset: int,
@@ -360,8 +342,6 @@ class NativeScif:
         finally:
             pinned.unpin()
         yield self.sim.timeout(self.costs.completion)
-        self.tracer.count("scif.vreadfrom")
-        self.tracer.accumulate("scif.rma_bytes", nbytes)
         return nbytes
 
     def vwriteto(self, ep: Endpoint, vaddr: int, nbytes: int, roffset: int,
@@ -379,8 +359,6 @@ class NativeScif:
         finally:
             pinned.unpin()
         yield self.sim.timeout(self.costs.completion)
-        self.tracer.count("scif.vwriteto")
-        self.tracer.accumulate("scif.rma_bytes", nbytes)
         return nbytes
 
     # ------------------------------------------------------------------
@@ -404,7 +382,6 @@ class NativeScif:
         yield self.sim.timeout(self.costs.driver)
         self._check_connected(ep)
         win = ep.windows.add(nbytes, prot, sg, offset=offset, label=label)
-        self.tracer.count("scif.register_sg")
         return win.offset
 
     def rma_sg(self, ep: Endpoint, local_sg, nbytes: int, roffset: int,
@@ -414,7 +391,6 @@ class NativeScif:
         require = Prot.SCIF_PROT_READ if direction == "read" else Prot.SCIF_PROT_WRITE
         remote_sg = self._remote_sg(ep, roffset, nbytes, require)
         yield from execute_rma(ep, direction, local_sg, remote_sg, nbytes, flags, self.costs)
-        self.tracer.accumulate("scif.rma_bytes", nbytes)
         return nbytes
 
     # ------------------------------------------------------------------
@@ -451,14 +427,12 @@ class NativeScif:
             nbytes, flags=flags, fault_handler=handler,
             name=f"scif-mmap-ep{ep.id}@{roffset:#x}",
         )
-        self.tracer.count("scif.mmap")
         return vma
 
     def munmap(self, vma: VMA):
         """scif_munmap(): drop a window mapping."""
         yield self._syscall()
         self.process.address_space.munmap(vma)
-        self.tracer.count("scif.munmap")
         return 0
 
     # ------------------------------------------------------------------
@@ -498,7 +472,6 @@ class NativeScif:
             )
             sg = ep.peer.windows.resolve(roffset, 8, Prot.SCIF_PROT_WRITE)
             _write_u64(sg, rval)
-        self.tracer.count("scif.fence_signal")
         return 0
 
     # ------------------------------------------------------------------
@@ -516,10 +489,8 @@ class NativeScif:
         while True:
             revents = [ep.poll_events() & (mask | always) for ep, mask in fds]
             if any(revents):
-                self.tracer.count("scif.poll")
                 return revents
             if timeout == 0:
-                self.tracer.count("scif.poll")
                 return revents
             waiters = [ep.poll_wait.wait() for ep, _ in fds]
             events = list(waiters)
@@ -531,7 +502,6 @@ class NativeScif:
             if timeout is not None and idx == len(waiters):
                 # timed out: one last non-blocking sample
                 revents = [ep.poll_events() & (mask | always) for ep, mask in fds]
-                self.tracer.count("scif.poll")
                 return revents
 
     # ------------------------------------------------------------------

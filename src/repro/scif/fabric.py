@@ -12,7 +12,7 @@ from typing import Optional
 
 from ..oscore import Kernel
 from ..phi import XeonPhiDevice
-from ..sim import Simulator, Tracer
+from ..sim import Simulator
 from .constants import SCIF_HOST_NODE, SCIF_PORT_MAX, SCIF_PORT_RSVD
 from .endpoint import Endpoint, EpState
 from .errors import EADDRINUSE, EINVAL, ENXIO
@@ -109,10 +109,8 @@ class ScifNode:
 class ScifFabric:
     """All SCIF nodes reachable from one physical machine."""
 
-    def __init__(self, sim: Simulator, tracer: Optional[Tracer] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.tracer = tracer or Tracer()
-        self.tracer.bind_clock(lambda: sim.now)
         self.nodes: dict[int, ScifNode] = {}
 
     # ------------------------------------------------------------------

@@ -460,13 +460,12 @@ class Simulator:
     reaches ``until``).  All times are simulated seconds.
     """
 
-    def __init__(self, trace: Optional["object"] = None):
+    def __init__(self):
         self.now: float = 0.0
         self._queue = CalendarQueue()
         self._current: Optional[Process] = None
         self._crashes: list[tuple[Process, BaseException]] = []
         self._observed_crash_events: set[int] = set()
-        self.trace = trace
 
     # -- factory helpers ------------------------------------------------------
     def event(self, name: str = "") -> Event:

@@ -10,14 +10,18 @@ A :class:`Tracer` holds four stores:
 
 * **counters / accumulators / stats** — always on.  :class:`LatencyStat`
   keeps a sparse geometric histogram alongside min/mean/max, so p50/p95/
-  p99 come for free wherever a latency was observed.
+  p99 come for free wherever a latency was observed.  A VM's tracer is
+  keyed only by the per-op keys a registered
+  :class:`~repro.vphi.ops.OpSpec` declares, plus
+  :data:`repro.vphi.wait.POLL_CPU_KEY`; every other count is a typed
+  attribute of the object that owns it.
 * **spans** — one :class:`Span` per request lifecycle, stamped with
   phase timestamps by every layer it crosses (frontend, ring, backend,
   pool, host).  Phase durations telescope — consecutive timestamp
   differences — so they sum to the span's end-to-end latency *exactly*.
   A span is the one record of where a request's simulated time went.
-  Completed spans live in a capped ring (drops are counted under
-  ``vphi.trace.dropped_spans``) and export as Chrome trace-event JSON
+  Completed spans live in a capped ring (drops are counted in
+  ``Tracer.dropped_spans``) and export as Chrome trace-event JSON
   (:meth:`Tracer.export_chrome_trace`) loadable in ``chrome://tracing``
   or Perfetto.
 """
@@ -32,7 +36,6 @@ from .errors import SimError
 
 __all__ = [
     "DEFAULT_MAX_SPANS",
-    "DROPPED_SPANS_KEY",
     "LatencyStat",
     "Span",
     "Tracer",
@@ -41,8 +44,6 @@ __all__ = [
 #: generous default cap: a full Fig 4/5 run stays far below it, while an
 #: unbounded chaos-soak run tops out instead of eating the heap.
 DEFAULT_MAX_SPANS = 65536
-#: counter bumped once per span dropped on ring-buffer overflow.
-DROPPED_SPANS_KEY = "vphi.trace.dropped_spans"
 
 
 #: histogram resolution: geometric buckets, 10 per decade (each bucket
@@ -315,7 +316,6 @@ class Tracer:
         spans = self._spans
         if len(spans) == self._spans_cap:
             self.dropped_spans += 1
-            self.counters[DROPPED_SPANS_KEY] += 1
         spans.append(span)
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .mem import PhysicalMemory
 from .oscore import OSProcess
 from .phi import XeonPhiDevice
 from .scif import NativeScif, ScifFabric
-from .sim import SimError, Simulator, Tracer
+from .sim import SimError, Simulator
 
 __all__ = ["Machine"]
 
@@ -39,7 +39,6 @@ class Machine:
         card_model: str = "3120P",
         host_params: HostParams = HOST,
         sim: Optional[Simulator] = None,
-        tracer: Optional[Tracer] = None,
         fault_plan: Optional[FaultPlan] = None,
         power_model: str = "none",
         power_config=None,
@@ -47,8 +46,6 @@ class Machine:
         if cards < 0:
             raise ValueError("cards must be >= 0")
         self.sim = sim or Simulator()
-        self.tracer = tracer or Tracer()
-        self.tracer.bind_clock(lambda: self.sim.now)
         self.host_params = host_params
         self.ram = PhysicalMemory(host_params.ram_bytes, name="host-ram")
         self.kernel = HostKernel(self.sim, self.ram)
@@ -60,17 +57,13 @@ class Machine:
                           power_model=power_model, power_config=power_config)
             for i in range(cards)
         ]
-        self.fabric = ScifFabric(self.sim, tracer=self.tracer)
+        self.fabric = ScifFabric(self.sim)
         #: deterministic fault source shared by every injection site on
         #: this machine (PCIe links, host chardev, per-VM vPHI devices).
-        self.faults = FaultInjector(fault_plan, self.sim, self.tracer)
+        self.faults = FaultInjector(fault_plan, self.sim)
         for dev in self.devices:
             self.faults.attach_link(dev.link)
-            if dev.power is not None:
-                dev.power.tracer = self.tracer
-        #: per-card dispatch arbiters, created lazily by
-        #: :meth:`arbiter_for` (card 0's doubles as the legacy
-        #: ``vphi_arbiter`` attribute).
+        #: per-card dispatch arbiters, created lazily by :meth:`arbiter_for`.
         self.card_arbiters: dict = {}
         self._booted = False
 
@@ -135,19 +128,12 @@ class Machine:
     def arbiter_for(self, card: int = 0, slots=None, policy=None):
         """The dispatch arbiter for one card, created on first use.
 
-        Card 0's arbiter is also published as ``machine.vphi_arbiter``
-        — the legacy machine-wide attribute from the one-card era — and
-        a pre-existing ``vphi_arbiter`` (the traffic harness pre-creates
-        one with plan-specific slots/policy) is adopted as card 0's, so
-        both spellings always name the same object.
+        ``slots`` applies only on creation (default: the host's cores);
+        ``policy``, when given, switches an existing arbiter too.
         """
         from .vphi.pool import CardArbiter
 
         arb = self.card_arbiters.get(card)
-        if arb is None and card == 0:
-            arb = getattr(self, "vphi_arbiter", None)
-            if arb is not None:
-                self.card_arbiters[0] = arb
         if arb is None:
             arb = CardArbiter(
                 self.sim,
@@ -155,8 +141,6 @@ class Machine:
                 name=f"vphi-arbiter-c{card}",
             )
             self.card_arbiters[card] = arb
-            if card == 0:
-                self.vphi_arbiter = arb
         if policy is not None:
             arb.set_policy(policy)
         return arb

@@ -79,10 +79,6 @@ class HarnessResult:
     cluster: object = None
 
     @property
-    def arbiter(self) -> Optional[CardArbiter]:
-        return getattr(self.machine, "vphi_arbiter", None)
-
-    @property
     def duration(self) -> float:
         return self.plan.duration
 
@@ -90,16 +86,7 @@ class HarnessResult:
         """Every card arbiter the run dispatched through."""
         machines = (self.cluster.machines if self.cluster is not None
                     else [self.machine])
-        out: list[CardArbiter] = []
-        for m in machines:
-            per_card = getattr(m, "card_arbiters", None)
-            if per_card:
-                out.extend(per_card.values())
-            else:
-                arb = getattr(m, "vphi_arbiter", None)
-                if arb is not None:
-                    out.append(arb)
-        return out
+        return [arb for m in machines for arb in m.card_arbiters.values()]
 
     def check_conservation(self) -> None:
         """Every offered arrival got exactly one typed outcome."""
@@ -111,11 +98,7 @@ class HarnessResult:
                     f"arrivals (completed={load.completed} "
                     f"shed={load.shed} errors={load.errors})"
                 )
-        arbiters = self.arbiters()
-        arb = self.arbiter
-        if arb is not None and arb not in arbiters:
-            arbiters.append(arb)
-        for arb in arbiters:
+        for arb in self.arbiters():
             if arb.free != arb.slots:
                 raise AssertionError(
                     f"{arb.name} leaked credits: "
@@ -241,15 +224,9 @@ def run_plan(plan: TrafficPlan, machine: Optional[Machine] = None,
     if machine is None:
         machine = Machine(cards=1).boot()
     tenants = plan.expanded()
-    slots = plan.slots or machine.host_params.cores
-    # pre-create the shared arbiter so the plan's policy applies from
-    # the first install (install_vphi reuses machine.vphi_arbiter)
-    arbiter = getattr(machine, "vphi_arbiter", None)
-    if arbiter is None:
-        arbiter = CardArbiter(machine.sim, slots=slots, policy=plan.policy)
-        machine.vphi_arbiter = arbiter
-    else:
-        arbiter.set_policy(plan.policy)
+    # pre-create the shared arbiter so the plan's slots and policy apply
+    # from the first install
+    machine.arbiter_for(0, slots=plan.slots, policy=plan.policy)
     gate = _Gate(machine.sim, len(tenants))
     loads: list[TenantLoad] = []
     pacers = []
@@ -300,10 +277,9 @@ def _run_cluster_plan(plan: TrafficPlan, cluster=None) -> HarnessResult:
                           cards_per_host=plan.cards_per_host,
                           placement=plan.placement)
         cluster.boot()
-    slots = plan.slots or cluster.machines[0].host_params.cores
     # pre-create every card arbiter at the plan's slot count + policy
     for ref in cluster.cards:
-        cluster.machine(ref).arbiter_for(ref.card, slots=slots,
+        cluster.machine(ref).arbiter_for(ref.card, slots=plan.slots,
                                          policy=plan.policy)
     tenants = plan.expanded()
     gate = _Gate(cluster.sim, len(tenants))

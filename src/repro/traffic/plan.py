@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from .arrivals import ArrivalProcess, make_arrivals
 
@@ -209,7 +209,6 @@ class TrafficPlan:
     hosts: int = 1
     cards_per_host: int = 1
     placement: str = "spread"
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.policy not in POLICIES:

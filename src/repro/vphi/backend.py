@@ -98,6 +98,10 @@ class VPhiBackend:
         self.requests_served = 0
         self.errors_returned = 0
         self.endpoint_reopens = 0
+        #: re-opens refused because the handle table did not hold them.
+        self.bogus_reopens = 0
+        #: dispatches whose fixed costs ran under a power-throttled clock.
+        self.throttled_ops = 0
         #: per-handle re-open gates: one driver-death outage triggers one
         #: re-open even when several pooled workers hit ENODEV at once.
         self._reopening: dict[int, Event] = {}
@@ -251,7 +255,7 @@ class VPhiBackend:
             inj = self.faults.draw(FaultSite.RING_POP,
                                    op=spec.op_name, vm=self.vm.name)
             if inj is not None:
-                self._record_injection(spec)
+                self.tracer.count(spec.injected_key)
                 raise inj.make_error()
             inj = self.faults.draw(FaultSite.BACKEND_DISPATCH,
                                    op=spec.op_name, vm=self.vm.name)
@@ -285,7 +289,7 @@ class VPhiBackend:
             if scale != 1.0:
                 # throttled dispatch: the slow op lands in the same span
                 # phases, so the p99 spike is attributable in the breakdown
-                self.tracer.count("vphi.backend.throttled_ops")
+                self.throttled_ops += 1
         pre = spec.pre_cost
         if pre is not None:
             yield self.sim.timeout(scale * (
@@ -304,11 +308,6 @@ class VPhiBackend:
     # ------------------------------------------------------------------
     # fault injection & recovery (backend side)
     # ------------------------------------------------------------------
-    def _record_injection(self, spec: OpSpec) -> None:
-        """Book one fired injection against this VM's counters."""
-        self.tracer.count("vphi.fault.injected")
-        self.tracer.count(spec.injected_key)
-
     def _apply_dispatch_fault(self, spec: OpSpec, req: VPhiRequest,
                               inj: Injection, worker: Optional[int] = None):
         """Process: play out one injected dispatch-site fault.
@@ -318,7 +317,7 @@ class VPhiBackend:
         descriptors are freed and the frontend's recovery logic decides
         between retry and fail-fast).
         """
-        self._record_injection(spec)
+        self.tracer.count(spec.injected_key)
         if inj.kind == FaultKind.WORKER_DEATH:
             if worker is not None and self.pool is not None:
                 # a pool member died mid-request; QEMU respawns it in
@@ -380,7 +379,7 @@ class VPhiBackend:
             # cleared the table): surface it instead of swallowing it —
             # a silently "recovered" dead handle would fail much later,
             # far from the cause.
-            self.tracer.count("vphi.backend.bogus_reopens")
+            self.bogus_reopens += 1
             raise EBADF(
                 f"vphi backend: re-open of unknown endpoint handle {handle}"
             )
@@ -397,7 +396,6 @@ class VPhiBackend:
             yield self.sim.timeout(self.lib.costs.syscall)
             self._swap_endpoint(handle)
             self.endpoint_reopens += 1
-            self.tracer.count("vphi.backend.endpoint_reopens")
         finally:
             del self._reopening[handle]
             gate.succeed()
@@ -457,7 +455,6 @@ class VPhiBackend:
         triggering request (interrupting it too would double-complete).
         """
         self.card_resets += 1
-        self.tracer.count("vphi.backend.card_resets")
         self._invalidate(inj, "card_reset",
                          lambda: ENXIO(
                              f"card reset aborted in-flight request "
@@ -468,7 +465,6 @@ class VPhiBackend:
                            origin_worker: Optional[int] = None) -> None:
         """This VM's QEMU process restarted: its host endpoints are gone."""
         self.backend_restarts += 1
-        self.tracer.count("vphi.backend.restarts")
         self._invalidate(inj, "backend_restart",
                          lambda: ESHUTDOWN(
                              f"backend restart aborted in-flight request "

@@ -47,9 +47,6 @@ class VPhiConfig:
     #: frontend wait scheme (§III design choice; §IV-B blames it for 93 %
     #: of the latency overhead).
     wait_mode: str = WaitMode.INTERRUPT
-    #: hybrid threshold: requests moving fewer bytes than this poll,
-    #: larger ones sleep (the paper's proposed future work).
-    hybrid_threshold: int = 32 * 1024
     #: kmalloc bounce chunk size (the x86_64 KMALLOC_MAX_SIZE).
     chunk_size: int = KMALLOC_MAX_SIZE
     #: ops handled on a QEMU worker thread instead of freezing the VM.
@@ -151,8 +148,6 @@ class VPhiConfig:
             raise ValueError(
                 f"chunk_size must be in (0, {KMALLOC_MAX_SIZE}], got {self.chunk_size}"
             )
-        if self.hybrid_threshold < 0:
-            raise ValueError("hybrid_threshold must be >= 0")
         if self.op_timeout is not None and self.op_timeout <= 0:
             raise ValueError("op_timeout must be positive (or None to disable)")
         if self.max_retries < 0:

@@ -197,9 +197,7 @@ class VPhiFrontend:
         self.waitq = WaitQueue(self.sim, name=f"{vm.name}-vphi-wait")
         #: submitters blocked on descriptor exhaustion (woken on reaping)
         self.ring_space = WaitQueue(self.sim, name=f"{vm.name}-vphi-ringspace")
-        self.wait_scheme = make_wait_scheme(
-            self.config.wait_mode, self.config.hybrid_threshold, costs
-        )
+        self.wait_scheme = make_wait_scheme(self.config.wait_mode, costs)
         #: request tags are per-VM (deterministic per run; independent
         #: Simulator instances never share a counter).
         self._tags = itertools.count(1)
@@ -228,6 +226,8 @@ class VPhiFrontend:
         self.irqs = 0
         self.retries = 0
         self.timeouts = 0
+        #: completions reaped behind a higher tag (pooled dispatch).
+        self.out_of_order = 0
 
     # ------------------------------------------------------------------
     # interrupt path
@@ -261,7 +261,6 @@ class VPhiFrontend:
                 # responses) or mutate rebuilt session state.
                 self._abandoned.discard(resp.tag)
                 self.session.stale_drops += 1
-                self.tracer.count("vphi.fault.stale_dropped")
                 if resp.op is not None:
                     self.tracer.count(spec_for(resp.op).stale_key)
                 continue
@@ -269,7 +268,6 @@ class VPhiFrontend:
                 # late completion of a timed-out request: reaping it has
                 # already released its ring descriptors; drop the record.
                 self._abandoned.discard(resp.tag)
-                self.tracer.count("vphi.fault.late_responses")
                 continue
             if resp.tag in self.responses:
                 raise SimError(
@@ -278,7 +276,7 @@ class VPhiFrontend:
             if resp.tag < self._max_completed_tag:
                 # pooled dispatch retires requests out of submission
                 # order; count it (the correlation stays exact by tag).
-                self.tracer.count("vphi.completions.out_of_order")
+                self.out_of_order += 1
             else:
                 self._max_completed_tag = resp.tag
             self.tracer.mark_tag(resp.tag, SPAN_IRQ_DELIVER)
@@ -557,7 +555,6 @@ class VPhiFrontend:
         inj = self.faults.draw(FaultSite.FRONTEND_SUBMIT,
                                op=spec.op_name, vm=self.vm.name)
         if inj is not None:
-            self.tracer.count("vphi.fault.injected")
             self.tracer.count(spec.injected_key)
         # 3b/3c: request marshalling in the guest kernel
         yield self.sim.timeout(self.costs.frontend)
@@ -691,7 +688,6 @@ class VPhiFrontend:
                 self.timeouts += 1
                 self._abandoned.add(p.req.tag)
                 self.tracer.unbind_span(p.req.tag)
-                self.tracer.count("vphi.fault.timeouts")
                 err: Exception = ETIMEDOUT(
                     f"{self.vm.name}: {spec.op_name} gave no completion "
                     f"within {timeout:g}s (tag {p.req.tag})"
@@ -701,7 +697,6 @@ class VPhiFrontend:
             else:
                 if attempt:
                     self.tracer.count(spec.recovered_key)
-                    self.tracer.count("vphi.fault.recovered")
                 return resp
             if isinstance(err, EStaleEpoch):
                 ses = self.session
@@ -710,7 +705,6 @@ class VPhiFrontend:
                     attempt += 1
                     self.retries += 1
                     self.tracer.count(spec.retried_key)
-                    self.tracer.count("vphi.fault.retried")
                     yield from ses.await_active()  # raises if circuit opens
                     self.tracer.mark(p.span, SPAN_SESSION_WAIT)
                     p.renew_tag(next(self._tags))
@@ -719,14 +713,12 @@ class VPhiFrontend:
                     continue
                 if not replay:
                     self.tracer.count(spec.failed_key)
-                    self.tracer.count("vphi.fault.failed")
                 self.tracer.end_span(p.span, "stale")
                 raise err
             if not (spec.idempotent and is_transient(err)
                     and attempt < cfg.max_retries):
                 if is_transient(err):
                     self.tracer.count(spec.failed_key)
-                    self.tracer.count("vphi.fault.failed")
                 self.tracer.end_span(p.span,
                                      "timeout" if resp is None else "error")
                 raise err
@@ -734,7 +726,6 @@ class VPhiFrontend:
             attempt += 1
             self.retries += 1
             self.tracer.count(spec.retried_key)
-            self.tracer.count("vphi.fault.retried")
             yield self.sim.timeout(cfg.backoff_for(attempt))
             self.tracer.mark(p.span, SPAN_RETRY_BACKOFF)
             p.renew_tag(next(self._tags))

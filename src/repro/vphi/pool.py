@@ -404,7 +404,6 @@ class WorkerPool:
         self.submitted = 0
         self.completed = 0
         self.deaths = 0
-        self.respawns = 0
         self.aborted = 0
         #: the element each member is currently servicing (None = idle);
         #: the machine-wide abort path interrupts exactly these.
@@ -536,7 +535,6 @@ class WorkerPool:
     def note_death(self, idx: int) -> None:
         """A member died mid-request; QEMU respawns it from the pool."""
         self.deaths += 1
-        self.respawns += 1
 
     def utilization(self, elapsed: float) -> float:
         """Busy fraction of the pool's total member-time."""

@@ -109,9 +109,7 @@ class AdmissionController:
         """
         if self._overloaded():
             self.shed += n
-            for _ in range(n):
-                self.tracer.count("vphi.qos.shed")
-                self.tracer.count(spec.shed_key)
+            self.tracer.count(spec.shed_key, n)
             raise EBUSY(
                 f"{self.frontend.vm.name}: admission control shedding "
                 f"{spec.op_name} (depth {self.depth}"
@@ -120,8 +118,6 @@ class AdmissionController:
             )
         self.admitted += n
         self.depth += n
-        for _ in range(n):
-            self.tracer.count("vphi.qos.admitted")
 
     def finish(self, elapsed: float, n: int = 1) -> None:
         """Retire ``n`` admitted requests that took ``elapsed`` seconds

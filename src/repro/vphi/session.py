@@ -219,7 +219,6 @@ class SessionManager:
         self.frontend = frontend
         self.sim = frontend.sim
         self.vm = frontend.vm
-        self.tracer = frontend.tracer
         self.journal = SessionJournal()
         #: the session generation: bumped on every fence; stamped into
         #: every posted request and echoed by every completion.
@@ -239,6 +238,8 @@ class SessionManager:
         self.recoveries = 0
         self.replayed_ops = 0
         self.replay_failures = 0
+        #: journaled endpoints whose replay kept failing (marked dead).
+        self.endpoints_lost = 0
         self.stale_drops = 0
         self.aborted_inflight = 0
         self.queued_submits = 0
@@ -301,14 +302,12 @@ class SessionManager:
             return
         if self.state == RECOVERING and self.policy == "fail_fast":
             self.rejected_submits += 1
-            self.tracer.count("vphi.session.rejected")
             raise EStaleEpoch(
                 f"{self.vm.name}: session rebuilding after reset "
                 f"(fail-fast recovery policy)"
             )
         if self.state == RECOVERING:
             self.queued_submits += 1
-            self.tracer.count("vphi.session.queued")
         yield from self.await_active()
 
     def await_active(self):
@@ -330,7 +329,6 @@ class SessionManager:
         session held is gone.  Synchronous: fencing must land before the
         backend services anything else."""
         self.resets_seen += 1
-        self.tracer.count("vphi.session.invalidated")
         if not self.enabled:
             return
         self._fence_and_abort(cause)
@@ -344,7 +342,6 @@ class SessionManager:
         if (self.policy == "circuit_break"
                 and len(self._reset_times) > self.frontend.config.recovery_max_resets):
             self.state = BROKEN
-            self.tracer.count("vphi.session.circuit_open")
             self.rebuilt.wake_all()
             return
         if self.state != RECOVERING:
@@ -375,7 +372,6 @@ class SessionManager:
                 op=p.req.op,
             )
             self.aborted_inflight += 1
-            self.tracer.count("vphi.session.fenced")
         fe.waitq.wake_all(per_waiter_cost=fe.costs.wakeup_per_waiter)
 
     def _recover(self):
@@ -401,7 +397,6 @@ class SessionManager:
         self.state = ACTIVE
         self.recoveries += 1
         self.rebuild_times.append(self.sim.now - t0)
-        self.tracer.count("vphi.session.recovered")
         self.rebuilt.wake_all(per_waiter_cost=self.frontend.costs.wakeup_per_waiter)
 
     def _replay_all(self, round_epoch: int):
@@ -463,7 +458,7 @@ class SessionManager:
             rec.dead = True
             rec.dead_reason = err
             self.translation.pop(rec.handle, None)
-            self.tracer.count("vphi.session.endpoints_lost")
+            self.endpoints_lost += 1
 
     # ------------------------------------------------------------------
     # live migration (driven by repro.cluster.migrate.live_migrate)
@@ -489,7 +484,6 @@ class SessionManager:
                 f"{self.vm.name}: cannot migrate a {self.state} session"
             )
         self.state = RECOVERING
-        self.tracer.count("vphi.session.migration_started")
 
     def quiesce(self):
         """Process: drain every in-flight tag before the fence.
@@ -551,7 +545,6 @@ class SessionManager:
             return
         self.state = ACTIVE
         self.migrations += 1
-        self.tracer.count("vphi.session.migrated")
         self.rebuilt.wake_all(
             per_waiter_cost=self.frontend.costs.wakeup_per_waiter
         )
@@ -567,7 +560,6 @@ class SessionManager:
             return
         self._fence_and_abort(cause)
         self.state = BROKEN
-        self.tracer.count("vphi.session.evicted")
         self.rebuilt.wake_all()
 
     def _replay_op(self, op: VPhiOp, handle: int = 0,
@@ -596,10 +588,8 @@ class SessionManager:
                 yield self.sim.timeout(RECOVERY_SETTLE)
                 continue
             self.replayed_ops += 1
-            self.tracer.count("vphi.session.replayed")
             return result, data
         self.replay_failures += 1
-        self.tracer.count("vphi.session.replay_failures")
         assert last is not None
         raise last
 

@@ -18,7 +18,6 @@ from .backend import VPhiBackend
 from .config import VPhiConfig
 from .frontend import VPhiFrontend
 from .guest_libscif import GuestScif
-from .pool import CardArbiter
 
 __all__ = ["VPhiInstance", "install_vphi"]
 
@@ -84,7 +83,7 @@ def install_vphi(machine, vm, config: Optional[VPhiConfig] = None,
     # per-VM breakdowns don't mix and no half of the path goes unrecorded
     # both halves draw from the machine's one injector, so a plan's
     # cadence counters span the whole datapath deterministically
-    faults = getattr(machine, "faults", None)
+    faults = machine.faults
     frontend = VPhiFrontend(
         vm, virtio, config=config, host_params=machine.host_params,
         tracer=vm.tracer, faults=faults,
@@ -94,35 +93,21 @@ def install_vphi(machine, vm, config: Optional[VPhiConfig] = None,
     # created so blocking-mode machines carry no arbiter at all.
     arbiter = None
     if config.pooled:
-        arbiter_for = getattr(machine, "arbiter_for", None)
-        if arbiter_for is not None:
-            arbiter = arbiter_for(card, policy=arbiter_policy)
-        else:  # duck-typed machine without the per-card helper
-            arbiter = getattr(machine, "vphi_arbiter", None)
-            if arbiter is None:
-                arbiter = CardArbiter(machine.sim,
-                                      slots=machine.host_params.cores)
-                machine.vphi_arbiter = arbiter
-            if arbiter_policy is not None:
-                arbiter.set_policy(arbiter_policy)
+        arbiter = machine.arbiter_for(card, policy=arbiter_policy)
         # the tenant's QoS identity lives in its own VPhiConfig; the
         # shared arbiter learns it at install time (and re-learns it on
         # reinstall — configure() is safe mid-flight).
         arbiter.configure(vm.name, weight=config.qos_share,
                           priority=config.qos_priority)
-    # the card's device object (None on duck-typed test machines): its
-    # power model, when enabled, makes backend dispatch frequency-aware
-    devices = getattr(machine, "devices", None)
-    device = devices[card] if devices is not None and card < len(devices) else None
+    # the card's power model, when enabled, makes backend dispatch
+    # frequency-aware
     backend = VPhiBackend(
         vm, virtio, lib, machine.kernel, config=config, tracer=vm.tracer,
-        faults=faults, arbiter=arbiter, device=device,
+        faults=faults, arbiter=arbiter, device=machine.devices[card],
     )
-    # a machine-owned injector learns every backend sharing the card so a
-    # CARD_RESET broadcast reaches all of them (the shared NO_FAULTS
-    # sentinel must never accumulate backends across machines)
-    if faults is not None:
-        faults.attach_backend(backend)
+    # the machine's injector learns every backend sharing the card so a
+    # CARD_RESET broadcast reaches all of them
+    faults.attach_backend(backend)
     # card resets / backend restarts invalidate host-side state; the
     # frontend's session manager hears about it through this hook
     backend.session_listener = frontend.session.on_backend_invalidated

@@ -18,7 +18,14 @@ from ..analysis.calibration import VPHI_COSTS, VPhiCosts
 if TYPE_CHECKING:  # pragma: no cover
     from .frontend import VPhiFrontend
 
-__all__ = ["InterruptWait", "PollingWait", "HybridWait", "make_wait_scheme"]
+__all__ = ["HYBRID_THRESHOLD", "POLL_CPU_KEY", "InterruptWait", "PollingWait",
+           "HybridWait", "make_wait_scheme"]
+
+#: hybrid scheme: requests moving fewer bytes than this poll, larger
+#: ones sleep (the paper's proposed future work).
+HYBRID_THRESHOLD = 32 * 1024
+#: accumulator of vCPU seconds burnt busy-polling the shared ring.
+POLL_CPU_KEY = "vphi.poll_cpu_time"
 
 
 class InterruptWait:
@@ -76,33 +83,33 @@ class PollingWait:
             if deadline is not None and sim.now >= deadline:
                 return None
             yield sim.timeout(self.costs.poll_interval)
-            frontend.tracer.accumulate("vphi.poll_cpu_time", self.costs.poll_interval)
+            frontend.tracer.accumulate(POLL_CPU_KEY, self.costs.poll_interval)
             frontend.drain_used()
         return frontend.claim_response(tag)
 
 
 class HybridWait:
-    """Poll for small requests, sleep for large ones (paper future work)."""
+    """Poll for requests under :data:`HYBRID_THRESHOLD` bytes, sleep for
+    larger ones (paper future work)."""
 
     name = "hybrid"
 
-    def __init__(self, threshold: int, costs: VPhiCosts = VPHI_COSTS):
-        self.threshold = threshold
+    def __init__(self, costs: VPhiCosts = VPHI_COSTS):
         self._poll = PollingWait(costs)
         self._intr = InterruptWait(costs)
 
     def wait_for(self, frontend: "VPhiFrontend", tag: int, data_bytes: int,
                  deadline: float | None = None):
-        scheme = self._poll if data_bytes < self.threshold else self._intr
+        scheme = self._poll if data_bytes < HYBRID_THRESHOLD else self._intr
         result = yield from scheme.wait_for(frontend, tag, data_bytes, deadline)
         return result
 
 
-def make_wait_scheme(mode: str, hybrid_threshold: int, costs: VPhiCosts = VPHI_COSTS):
+def make_wait_scheme(mode: str, costs: VPhiCosts = VPHI_COSTS):
     if mode == "interrupt":
         return InterruptWait(costs)
     if mode == "polling":
         return PollingWait(costs)
     if mode == "hybrid":
-        return HybridWait(hybrid_threshold, costs)
+        return HybridWait(costs)
     raise ValueError(f"unknown wait mode {mode!r}")

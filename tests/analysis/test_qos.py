@@ -54,6 +54,15 @@ class TestMergedHistogram:
         assert merged.max == pytest.approx(4e-4)
         assert merged.min == pytest.approx(1e-5)
 
+    def test_unregistered_op_latency_is_left_out(self):
+        vm = _FakeVm({
+            "vphi.op.send.latency": _stat("a", [1e-5]),
+            "vphi.op.bogus.latency": _stat("b", [1.0]),  # no such op
+        })
+        merged = merged_latency_stat(vm)
+        assert merged.count == 1
+        assert merged.max == pytest.approx(1e-5)
+
     def test_percentiles_track_merged_population(self):
         fast = [1e-5] * 90
         slow = [1e-3] * 10

@@ -290,7 +290,7 @@ class TestCreditRestitutionE2E:
         c1 = reader(m, vm1, PORT + 1, r1, rounds=6, swallow=(ScifError,))
         m.run()
         assert c0.triggered and c1.triggered
-        arb = m.vphi_arbiter
+        arb = m.arbiter_for(0)
         assert arb.free == arb.slots, "abort path leaked dispatch credits"
         assert c1.value >= 1, "the clean VM must make progress post-reset"
 
@@ -309,15 +309,15 @@ class TestCreditRestitutionE2E:
             backend_workers=2, recovery_policy="queue", qos_priority=0))
         bg = m.create_vm("bg", ram_bytes=2 << 30, vphi_config=VPhiConfig(
             backend_workers=2, recovery_policy="queue", qos_priority=3))
-        m.vphi_arbiter.set_policy("priority")
-        assert m.vphi_arbiter.priority_of("fg") == 0
-        assert m.vphi_arbiter.priority_of("bg") == 3
+        arb = m.arbiter_for(0)
+        arb.set_policy("priority")
+        assert arb.priority_of("fg") == 0
+        assert arb.priority_of("bg") == 3
         r0 = window_server(m, PORT + 10)
         r1 = window_server(m, PORT + 11)
         c_fg = reader(m, fg, PORT + 10, r0, rounds=4, swallow=(ScifError,))
         c_bg = reader(m, bg, PORT + 11, r1, rounds=8, swallow=(ScifError,))
         m.run()
         assert c_fg.triggered and c_bg.triggered
-        arb = m.vphi_arbiter
         assert arb.free == arb.slots, "fenced epoch stranded a credit"
         assert c_bg.value >= 1, "background class starved permanently"

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import FaultKind, FaultPlan, FaultSpec, Machine
 from repro.scif import ScifError
-from repro.vphi import VPhiConfig
+from repro.vphi import VPhiConfig, registered_ops
 
 PORT = 8700
 KB = 1 << 10
@@ -150,7 +150,7 @@ def test_pool_invariants_hold_under_random_mixes(workers, windows,
             last[handle] = seq
 
     # 4) the shared arbiter granted every VM that submitted work
-    arb = m.vphi_arbiter
+    arb = m.arbiter_for(0)
     assert arb.free == arb.slots  # every credit returned
     for vm in vms:
         if vm.vphi.backend.pool.submitted:
@@ -158,4 +158,4 @@ def test_pool_invariants_hold_under_random_mixes(workers, windows,
 
     # 5) chaos stayed contained: the fault-free VMs saw no injections
     for vm in vms[1:]:
-        assert vm.tracer.counters["vphi.fault.injected"] == 0
+        assert sum(vm.tracer.counters[s.injected_key] for s in registered_ops()) == 0

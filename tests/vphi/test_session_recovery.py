@@ -120,7 +120,7 @@ class TestSessionSurvivesCardReset:
         assert ses.replayed_ops >= 4              # open+connect+register+mmap
         assert ses.replay_failures == 0
         assert srv["accepts"] == 2                # the replayed re-dial
-        assert vm.tracer.counters["kvm.zap.vma"] == 1
+        assert vm.mmu.vma_zaps == 1
         # the fenced writeto's real (pre-fence) completion was dropped
         assert ses.stale_drops >= 1
         # no leaks through the whole ordeal
@@ -372,7 +372,6 @@ class TestRecoveryPolicies:
         ]
         ses = vm.vphi.frontend.session
         assert ses.state == "broken"
-        assert vm.tracer.counters["vphi.session.circuit_open"] == 1
         assert vm.guest_kernel.kmalloc.live == 0
 
 

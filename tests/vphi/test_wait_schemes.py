@@ -3,6 +3,7 @@
 import pytest
 
 from repro.vphi import VPhiConfig, WaitMode, chunk_plan
+from repro.vphi.wait import HYBRID_THRESHOLD, POLL_CPU_KEY
 from repro.sim import us
 
 PORT = 3200
@@ -42,7 +43,7 @@ def test_polling_mode_near_native_latency(machine):
     vm = machine.create_vm("vm-poll", vphi_config=VPhiConfig(wait_mode=WaitMode.POLLING))
     lat = measure_send_latency(machine, vm)
     assert lat < us(40)
-    assert vm.vphi.frontend.tracer.accumulators["vphi.poll_cpu_time"] > 0
+    assert vm.vphi.frontend.tracer.accumulators[POLL_CPU_KEY] > 0
 
 
 def test_interrupt_mode_pays_wait_scheme(machine):
@@ -64,8 +65,8 @@ def test_lost_watchdogs_do_not_hold_the_run_open(machine):
 def test_hybrid_polls_small_sleeps_large(machine):
     """The paper's future-work hybrid: small transfers get polling's
     latency, large ones keep the interrupt scheme."""
-    cfg = VPhiConfig(wait_mode=WaitMode.HYBRID, hybrid_threshold=32 * 1024)
-    vm = machine.create_vm("vm-hyb", vphi_config=cfg)
+    assert 1 < HYBRID_THRESHOLD <= 64 * 1024
+    vm = machine.create_vm("vm-hyb", vphi_config=VPhiConfig(wait_mode=WaitMode.HYBRID))
     small = measure_send_latency(machine, vm, nbytes=1, port=PORT)
     large = measure_send_latency(machine, vm, nbytes=64 * 1024, port=PORT + 1)
     assert small < us(40)  # polled
@@ -78,8 +79,8 @@ def test_polling_burns_cpu_interrupt_does_not(machine):
     vm_i = machine.create_vm("vm-i", vphi_config=VPhiConfig(wait_mode=WaitMode.INTERRUPT))
     measure_send_latency(machine, vm_p, port=PORT)
     measure_send_latency(machine, vm_i, port=PORT + 1)
-    poll_cpu_p = vm_p.vphi.frontend.tracer.accumulators.get("vphi.poll_cpu_time", 0)
-    poll_cpu_i = vm_i.vphi.frontend.tracer.accumulators.get("vphi.poll_cpu_time", 0)
+    poll_cpu_p = vm_p.vphi.frontend.tracer.accumulators.get(POLL_CPU_KEY, 0)
+    poll_cpu_i = vm_i.vphi.frontend.tracer.accumulators.get(POLL_CPU_KEY, 0)
     assert poll_cpu_p > 0
     assert poll_cpu_i == 0
 
@@ -105,5 +106,3 @@ def test_config_validation():
         VPhiConfig(chunk_size=0)
     with pytest.raises(ValueError):
         VPhiConfig(chunk_size=8 * MB)  # above KMALLOC_MAX_SIZE
-    with pytest.raises(ValueError):
-        VPhiConfig(hybrid_threshold=-1)
