@@ -123,10 +123,6 @@ class OpStats:
     #: (zero unless a session recovery fenced mid-flight requests)
     stale_dropped: int = 0
 
-    @property
-    def error_rate(self) -> float:
-        return self.errors / self.served if self.served else 0.0
-
 
 def per_op_stats(frontend) -> list[OpStats]:
     """Per-op submitted/served/error/latency metrics from live traces.

@@ -69,10 +69,6 @@ class PowerReport:
 
     cards: list[CardPowerStats] = field(default_factory=list)
 
-    @property
-    def total_energy_j(self) -> float:
-        return sum(c.energy_j for c in self.cards)
-
 
 def power_stats(machine, elapsed: Optional[float] = None) -> PowerReport:
     """Collect per-card power stats from a machine with the model on.

@@ -8,8 +8,8 @@ generalizes the machine model to a *cluster*:
   :class:`~repro.cluster.topology.InterHostFabric` whose per-hop
   latency/bandwidth rides the same cost machinery as the PCIe links.
 * :class:`~repro.cluster.place.PlacementScheduler` — bin-packing of VMs
-  onto cards by ``qos_share`` under ``spread``/``pack`` policies, with
-  skew-driven rebalancing.
+  onto cards by ``qos_share`` under ``spread``/``pack`` policies, which
+  also pick live-migration targets.
 * :func:`~repro.cluster.migrate.live_migrate` — journal-replay live
   migration: fence the source epoch, ship the
   :class:`~repro.vphi.session.SessionJournal`, replay it against the

@@ -13,11 +13,8 @@ Two policies:
   wants.  A VM that fits nowhere falls back to least-loaded (the pool
   oversubscribes rather than refuses).
 
-Rebalancing is skew-driven: while the hottest card exceeds the coldest
-by more than the largest single share it carries (i.e. while one move
-could actually help), propose moving the smallest share off the hottest
-card onto the coldest.  The plan is advisory — the cluster executes it
-with live migrations, re-planning after each move.
+Migration targets come from the same policies with the source card
+excluded (:meth:`PlacementScheduler.pick_dest`).
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ __all__ = ["PlacementScheduler"]
 
 
 class PlacementScheduler:
-    """Assigns VMs to cards and proposes skew-correcting moves."""
+    """Assigns VMs to cards and picks migration targets."""
 
     POLICIES = ("spread", "pack")
 
@@ -73,15 +70,6 @@ class PlacementScheduler:
     def online_cards(self, exclude=()) -> list:
         return [ref for ref in self.loads
                 if ref not in self.offline and ref not in exclude]
-
-    def load_of(self, ref) -> float:
-        return self.loads[ref]
-
-    def share_of(self, name: str) -> float:
-        return self.assignments[name][1]
-
-    def vms_on(self, ref) -> list[str]:
-        return [n for n, (r, _) in self.assignments.items() if r == ref]
 
     # ------------------------------------------------------------------
     def card_watts(self, ref) -> float:
@@ -180,48 +168,8 @@ class PlacementScheduler:
         else:
             self.offline.discard(ref)
 
-    # ------------------------------------------------------------------
-    def imbalance(self) -> float:
-        """Hottest-minus-coldest load over the online cards."""
-        online = self.online_cards()
-        if len(online) < 2:
-            return 0.0
-        loads = [self.loads[r] for r in online]
-        return max(loads) - min(loads)
-
-    def rebalance_plan(self) -> list[tuple]:
-        """Skew-correcting moves: ``[(vm, src, dest), ...]`` (greedy).
-
-        Simulated against a copy of the loads; a move is proposed only
-        while it strictly reduces the hot-cold gap, so the plan always
-        terminates and never ping-pongs a VM.
-        """
-        online = self.online_cards()
-        if len(online) < 2:
-            return []
-        loads = {r: self.loads[r] for r in online}
-        homes = {n: (r, s) for n, (r, s) in self.assignments.items()
-                 if r in loads}
-        plan: list[tuple] = []
-        while True:
-            hot = max(online, key=lambda r: (loads[r], r))
-            cold = min(online, key=lambda r: (loads[r], r))
-            gap = loads[hot] - loads[cold]
-            movable = sorted(
-                ((s, n) for n, (r, s) in homes.items() if r == hot and s > 0),
-            )
-            # moving share s changes the gap by 2s: profitable iff s < gap
-            best = next(((s, n) for s, n in movable if s < gap), None)
-            if best is None:
-                return plan
-            share, name = best
-            loads[hot] -= share
-            loads[cold] += share
-            homes[name] = (cold, share)
-            plan.append((name, hot, cold))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<PlacementScheduler {self.policy} cards={len(self.loads)} "
-            f"vms={len(self.assignments)} skew={self.imbalance():.2f}>"
+            f"vms={len(self.assignments)}>"
         )

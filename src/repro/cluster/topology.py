@@ -299,22 +299,6 @@ class Cluster:
         report = yield from live_migrate(self, machine_vm, dest)
         return report
 
-    def rebalance(self):
-        """Process: migrate VMs until card load skew is policy-clean.
-
-        Executes the scheduler's :meth:`~PlacementScheduler.rebalance_plan`
-        move by move (re-planning after each — a migration changes the
-        loads it was planned against).
-        """
-        moved = []
-        while True:
-            plan = self.scheduler.rebalance_plan()
-            if not plan:
-                return moved
-            name, _src, dest = plan[0]
-            yield from self.migrate(name, dest)
-            moved.append(plan[0])
-
     # ------------------------------------------------------------------
     # churn
     # ------------------------------------------------------------------

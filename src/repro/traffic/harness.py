@@ -18,7 +18,7 @@ ScifError).  ``HarnessResult.check_conservation`` asserts it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,9 +51,6 @@ class TenantLoad:
     shed: int = 0
     errors: int = 0
     bytes_done: int = 0
-    #: per-request completion latencies (arrival -> typed completion),
-    #: for completed requests only.
-    latencies: list = field(default_factory=list)
 
     @property
     def name(self) -> str:
@@ -131,9 +128,8 @@ def _spawn_peer(machine, port: int, window: int, card: int = 0):
 
 
 def _one_request(lib, ep, vma, roff, kind: str, nbytes: int, payload,
-                 load: TenantLoad, sim):
+                 load: TenantLoad):
     """One open-loop request: submit, classify the typed outcome."""
-    t0 = sim.now
     try:
         if kind == "send":
             yield from lib.send(ep, payload[:nbytes])
@@ -149,7 +145,6 @@ def _one_request(lib, ep, vma, roff, kind: str, nbytes: int, payload,
         return
     load.completed += 1
     load.bytes_done += nbytes
-    load.latencies.append(sim.now - t0)
 
 
 def _tenant(machine, vm, spec: TenantSpec, port: int, ready, gate,
@@ -183,7 +178,7 @@ def _tenant(machine, vm, spec: TenantSpec, port: int, ready, gate,
             # open-loop: the request rides its own process; the pacer
             # never waits for it
             vm.spawn_guest(_one_request(lib, ep, vma, roff, kind, nbytes,
-                                        payload, load, sim))
+                                        payload, load))
 
     return vm.spawn_guest(pacer())
 
@@ -237,7 +232,6 @@ def run_plan(plan: TrafficPlan, machine: Optional[Machine] = None,
             qos_share=spec.share,
             qos_priority=spec.priority,
             admit_queue_depth=plan.admit_queue_depth,
-            admit_latency=plan.admit_latency,
         )
         vm = machine.create_vm(spec.name, ram_bytes=TENANT_RAM,
                                vphi_config=cfg)
@@ -292,7 +286,6 @@ def _run_cluster_plan(plan: TrafficPlan, cluster=None) -> HarnessResult:
             qos_share=spec.share,
             qos_priority=spec.priority,
             admit_queue_depth=plan.admit_queue_depth,
-            admit_latency=plan.admit_latency,
         )
         vm = cluster.create_vm(spec.name, ram_bytes=TENANT_RAM,
                                vphi_config=cfg)

@@ -200,9 +200,9 @@ class TrafficPlan:
     slots: Optional[int] = None
     backend_workers: int = 2
     max_inflight: int = 8
-    #: admission watermarks applied to every tenant (None = no shedding).
+    #: admission depth watermark applied to every tenant (None = no
+    #: shedding).
     admit_queue_depth: Optional[int] = None
-    admit_latency: Optional[float] = None
     #: cluster target: anything beyond 1x1 runs the plan on a
     #: :class:`~repro.cluster.Cluster` instead of a single machine,
     #: placing tenants by ``placement`` policy.
@@ -251,7 +251,7 @@ class TrafficPlan:
             raise ValueError(f"plan must be a dict, got {type(d).__name__}")
         known = {"tenants", "policy", "duration", "seed", "slots",
                  "backend_workers", "max_inflight", "admit_queue_depth",
-                 "admit_latency", "hosts", "cards_per_host", "placement"}
+                 "hosts", "cards_per_host", "placement"}
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"plan: unknown keys {sorted(unknown)}")
@@ -281,8 +281,6 @@ class TrafficPlan:
         d["max_inflight"] = self.max_inflight
         if self.admit_queue_depth is not None:
             d["admit_queue_depth"] = self.admit_queue_depth
-        if self.admit_latency is not None:
-            d["admit_latency"] = self.admit_latency
         if self.is_cluster:
             d["hosts"] = self.hosts
             d["cards_per_host"] = self.cards_per_host
@@ -301,7 +299,7 @@ class TrafficPlan:
               duration: float = 0.02, seed: int = 0) -> "TrafficPlan":
         """The CLI's built-in plan: ``tenants`` equal-share interactive
         tenants offering ``oversubscription`` times the card's dispatch
-        capacity, with admission watermarks armed."""
+        capacity, with the admission watermark armed."""
         slots = 4
         # a 1 KB send holds a dispatch slot for ~10 us in the calibrated
         # cost model -> capacity ~ slots / 10us; spread the oversubscribed

@@ -140,9 +140,6 @@ class MICScheduler:
     def active_jobs(self) -> int:
         return len(self._active)
 
-    def job_rate(self, job: ComputeJob) -> float:
-        return job.rate
-
     # ------------------------------------------------------------------
     def _advance(self) -> None:
         """Credit progress to every active job since the last update."""

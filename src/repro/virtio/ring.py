@@ -125,9 +125,6 @@ class Vring:
         self._release_chain(head)
         return head, written, header
 
-    def used_pending(self) -> int:
-        return len(self._used)
-
     # ------------------------------------------------------------------
     # device (backend) side
     # ------------------------------------------------------------------

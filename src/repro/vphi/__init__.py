@@ -13,7 +13,7 @@ trace keys, cost hooks) are declared exactly once in the
 from .backend import VPhiBackend
 from .chunking import BounceBuffers, chunk_plan
 from .config import VPhiConfig, WaitMode
-from .frontend import BatchCall, VPhiFrontend
+from .frontend import VPhiFrontend
 from .guest_libscif import GuestEndpoint, GuestScif
 from .ops import (
     BLOCKING,
@@ -28,7 +28,7 @@ from .ops import (
     temporary_op,
 )
 from .pool import CardArbiter, WorkerPool
-from .protocol import VPhiOp, VPhiRequest, VPhiResponse
+from .protocol import BatchCall, VPhiOp, VPhiRequest, VPhiResponse
 from .qos import AdmissionController
 from .session import (
     EndpointRecord,

@@ -267,15 +267,8 @@ class VPhiBackend:
             resp.written = written
         except ScifError as err:
             resp.error = err
-            self.errors_returned += 1
-            self.tracer.count(spec.error_key)
         self.tracer.mark_tag(req.tag, SPAN_HOST_CALL)
-        self.requests_served += 1
-        self.tracer.count(spec.served_key)
-        # the response record is written into the shared chain header
-        self.virtio.ring.push_used(elem, written=resp.written, header=resp)
-        self.tracer.mark_tag(req.tag, SPAN_COMPLETION_PUSH)
-        self.virtio.inject_irq()
+        self._push_completion(elem, spec, resp)
 
     def _dispatch(self, spec: OpSpec, req: VPhiRequest, elem: VirtqueueElement):
         """Table-driven dispatch: cost hooks around the registered handler.
@@ -525,14 +518,20 @@ class VPhiBackend:
         it frees the chain's descriptors.
         """
         req: VPhiRequest = elem.header
-        spec = spec_for(req.op)
-        resp = VPhiResponse(tag=req.tag, error=err, epoch=req.epoch, op=req.op)
-        self.errors_returned += 1
+        self._push_completion(elem, spec_for(req.op), VPhiResponse(
+            tag=req.tag, error=err, epoch=req.epoch, op=req.op))
+
+    def _push_completion(self, elem: VirtqueueElement, spec: OpSpec,
+                         resp: VPhiResponse) -> None:
+        """Count one served request, write its response record into the
+        shared chain header, and raise the completion interrupt."""
+        if resp.error is not None:
+            self.errors_returned += 1
+            self.tracer.count(spec.error_key)
         self.requests_served += 1
-        self.tracer.count(spec.error_key)
         self.tracer.count(spec.served_key)
-        self.virtio.ring.push_used(elem, written=0, header=resp)
-        self.tracer.mark_tag(req.tag, SPAN_COMPLETION_PUSH)
+        self.virtio.ring.push_used(elem, written=resp.written, header=resp)
+        self.tracer.mark_tag(resp.tag, SPAN_COMPLETION_PUSH)
         self.virtio.inject_irq()
 
     # ------------------------------------------------------------------

@@ -115,22 +115,11 @@ class VPhiConfig:
     #: admission control: shed new submits with typed EBUSY once this
     #: many requests are admitted-but-uncompleted in the frontend
     #: (posted, parked on ring space, or queued in the pool).  ``None``
-    #: (the default) disables the depth watermark — no admission check
-    #: runs and the baselines stay byte-identical.  Shedding stops once
-    #: the depth drains below ``admit_resume_depth``.
+    #: (the default) disables admission — no check runs and the
+    #: baselines stay byte-identical.  Shedding stops once the depth
+    #: drains to ``admit_queue_depth *``
+    #: :data:`~repro.vphi.qos.ADMIT_HYSTERESIS`.
     admit_queue_depth: Optional[int] = None
-    #: admission control: shed new submits while the EWMA of recent
-    #: end-to-end request latency exceeds this (seconds).  ``None``
-    #: disables the latency watermark.
-    admit_latency: Optional[float] = None
-    #: hysteresis for the depth watermark: once shedding starts, submits
-    #: stay refused until the admitted depth drains to
-    #: ``admit_queue_depth * admit_hysteresis`` (avoids admit/shed
-    #: flapping at the boundary).
-    admit_hysteresis: float = 0.5
-    #: EWMA smoothing factor for the latency watermark (weight of the
-    #: newest completed request's latency).
-    admit_ewma_alpha: float = 0.2
     #: request-lifecycle spans: every submit opens a per-request span
     #: stamped with phase timestamps by the frontend, backend, pool and
     #: session layers (see :data:`repro.vphi.ops.SPAN_PHASE_ORDER`).
@@ -169,22 +158,11 @@ class VPhiConfig:
             raise ValueError("qos_share must be >= 0 (0 = best-effort)")
         if self.admit_queue_depth is not None and self.admit_queue_depth < 1:
             raise ValueError("admit_queue_depth must be >= 1 (or None)")
-        if self.admit_latency is not None and self.admit_latency <= 0:
-            raise ValueError("admit_latency must be positive (or None)")
-        if not 0.0 <= self.admit_hysteresis <= 1.0:
-            raise ValueError("admit_hysteresis must be in [0, 1]")
-        if not 0.0 < self.admit_ewma_alpha <= 1.0:
-            raise ValueError("admit_ewma_alpha must be in (0, 1]")
 
     @property
     def pooled(self) -> bool:
         """Whether backend dispatch runs on the worker pool."""
         return self.backend_workers > 0
-
-    @property
-    def admission_enabled(self) -> bool:
-        """Whether any QoS admission watermark is armed."""
-        return self.admit_queue_depth is not None or self.admit_latency is not None
 
     @property
     def recovery_enabled(self) -> bool:

@@ -13,10 +13,10 @@ references on the virtio ring, kicks the backend, and parks the caller on
 the configured wait scheme until the completion interrupt.
 
 Requests are described by the :mod:`~repro.vphi.ops` registry (marshal
-rules, trace keys); :meth:`VPhiFrontend.submit_batch` posts several
-registry-described requests back-to-back with a single kick, which the
-segmented-transfer loop in :meth:`VPhiFrontend.submit` uses to avoid one
-vmexit per segment (ablation A8 quantifies the saving).
+rules, trace keys).  Single, batched, segmented and replayed submits all
+run through one loop, :meth:`VPhiFrontend._run`, which posts several
+requests back-to-back with a single kick (ablation A8 quantifies the
+saving of batching; A3 that of segmenting an oversized transfer).
 
 Fault recovery: every completion goes through :meth:`_complete`, which
 arms a per-op watchdog (from the op's blocking class — blocking ops have
@@ -32,7 +32,6 @@ when their late response eventually drains.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,84 +56,22 @@ from .ops import (
     SPAN_SESSION_WAIT,
     spec_for,
 )
-from .protocol import VPhiOp, VPhiRequest, VPhiResponse
+from .protocol import BatchCall, VPhiOp, VPhiRequest, VPhiResponse
 from .qos import AdmissionController
 from .session import ACTIVE, SessionManager
 from .wait import make_wait_scheme
 
-__all__ = ["BatchCall", "VPhiFrontend"]
-
-
-@dataclass
-class BatchCall:
-    """One registry-described request inside a :meth:`submit_batch`."""
-
-    op: VPhiOp
-    handle: int = 0
-    args: Optional[dict] = None
-    out_data: Optional[np.ndarray] = None
-    in_nbytes: int = 0
-    #: optional ``consume(offset, view)`` sink for the device->guest
-    #: payload — the copy-out streams bounce-chunk views straight to the
-    #: consumer instead of gathering a flat array (zero-allocation path
-    #: for bulk RMA reads).  ``in_data`` comes back as None when set.
-    in_sink: Optional[callable] = None
-
-
-class _SegmentSinkChain:
-    """Compacts a segmented streaming copy-out like the old flat gather.
-
-    Before the streaming datapath, a segmented read concatenated every
-    segment's gathered bytes and wrote one contiguous prefix into the
-    guest buffer — so a short middle segment (a partial completion on a
-    fault/retry path) compacted the following segments down.  Streaming
-    sinks write ``(offset, view)`` pairs instead, which would leave a
-    hole at the short segment if each segment used its nominal byte
-    offset.  The chain keeps the old guest-visible semantics: each
-    segment is based at the running total of bytes *actually* streamed
-    by its predecessors, not at its nominal offset.
-    """
-
-    __slots__ = ("_sink", "_base", "_streamed")
-
-    def __init__(self, sink):
-        self._sink = sink
-        self._base = 0
-        self._streamed = 0
-
-    def segment(self):
-        """A per-segment ``consume(offset, view)`` sink.
-
-        Segments finish streaming in submission order (``submit_batch``
-        reaps responses in order), so on its first view each segment
-        advances the chain base past the bytes its predecessor really
-        produced.  A fully-short segment never streams a view and
-        therefore contributes nothing to the base.
-        """
-        started = False
-
-        def consume(off, view):
-            nonlocal started
-            if not started:
-                self._base += self._streamed
-                self._streamed = 0
-                started = True
-            self._sink(self._base + off, view)
-            # scatter_to streams a contiguous prefix in offset order,
-            # so the last view's end is the segment's actual byte count
-            self._streamed = off + len(view)
-
-        return consume
+__all__ = ["VPhiFrontend"]
 
 
 class _Prepared:
     """A marshalled request whose bounce chunks are live in guest memory."""
 
-    __slots__ = ("spec", "req", "hdr_ext", "out_bb", "in_bb",
-                 "out_descs", "in_descs", "orig_handle", "span", "in_sink")
+    __slots__ = ("spec", "req", "hdr_ext", "out_bb", "in_bb", "out_descs",
+                 "in_descs", "orig_handle", "span", "in_sink", "t0")
 
     def __init__(self, spec, req, hdr_ext, out_bb, in_bb, out_descs, in_descs,
-                 orig_handle=0, span=None, in_sink=None):
+                 orig_handle, span, in_sink, t0):
         self.spec = spec
         self.req = req
         self.hdr_ext = hdr_ext
@@ -152,6 +89,9 @@ class _Prepared:
         self.span = span
         #: optional streaming consumer for the in-payload (see BatchCall).
         self.in_sink = in_sink
+        #: simulated time marshalling began: the request's latency sample
+        #: runs from here to the syscall return.
+        self.t0 = t0
 
     @property
     def needed_descriptors(self) -> int:
@@ -320,93 +260,50 @@ class VPhiFrontend:
         device->guest payload (or None).  Raises the host-side ScifError
         if the operation failed.
 
-        With a QoS watermark configured, admission happens here — once
-        per guest-visible request, before any marshalling or descriptor
-        allocation — and an overloaded frontend raises typed
-        :class:`~repro.scif.errors.EBUSY` instead of queuing.  The
-        segmented path below re-enters :meth:`submit_batch` internally
-        and must not (and does not) admit each segment again.
-
         Transfers whose bounce chunks would not fit the descriptor ring
         are split into sequential ring submissions (the real driver does
-        the same when a request exceeds the ring) — posted as one batch
+        the same when a request exceeds the ring), posted back-to-back
         so the whole sequence shares kicks instead of paying one vmexit
         per segment.  ``segment_args(args, byte_offset)`` rewrites the
-        op-specific arguments for each segment (RMA offsets advance).
+        op-specific arguments for each segment (RMA offsets advance);
+        numeric results are summed and gathered payloads concatenated.
+        However many segments it takes, the submit is one guest-visible
+        request to admission control.
         """
-        adm = self.admission
-        if not adm.enabled:
-            result = yield from self._do_submit(
-                op, handle, args, out_data, in_nbytes, segment_args, in_sink
-            )
-            return result
-        adm.admit(spec_for(op))
-        t0 = self.sim.now
-        try:
-            result = yield from self._do_submit(
-                op, handle, args, out_data, in_nbytes, segment_args, in_sink
-            )
-            return result
-        finally:
-            adm.finish(self.sim.now - t0)
-
-    def _do_submit(
-        self,
-        op: VPhiOp,
-        handle: int = 0,
-        args: Optional[dict] = None,
-        out_data: Optional[np.ndarray] = None,
-        in_nbytes: int = 0,
-        segment_args=None,
-        in_sink=None,
-    ):
-        """The already-admitted body of :meth:`submit` (segmentation +
-        single-chain dispatch)."""
-        max_data_descs = self.virtio.ring.size // 2
-        max_segment = max_data_descs * self.config.chunk_size
+        max_segment = self.virtio.ring.size // 2 * self.config.chunk_size
         total = len(out_data) if out_data is not None else in_nbytes
-        if total > max_segment:
-            sink_chain = None if in_sink is None else _SegmentSinkChain(in_sink)
-            calls = []
-            off = 0
-            while off < total:
-                take = min(max_segment, total - off)
-                calls.append(BatchCall(
-                    op=op,
-                    handle=handle,
-                    args=segment_args(args, off) if segment_args else args,
-                    out_data=(out_data[off : off + take]
-                              if out_data is not None else None),
-                    in_nbytes=take if in_nbytes else 0,
-                    in_sink=(None if sink_chain is None
-                             else sink_chain.segment()),
-                ))
-                off += take
-            pairs = yield from self._do_submit_batch(calls)
-            results = [r for r, _ in pairs]
-            gathered = [d for _, d in pairs if d is not None]
-            agg = sum(r for r in results if isinstance(r, (int, float)))
-            in_data = np.concatenate(gathered) if gathered else None
-            return agg, in_data
-        result, data = yield from self._submit_one(
-            op, handle, args, out_data, in_nbytes, in_sink=in_sink
-        )
-        return result, data
+        if total <= max_segment:
+            out = yield from self._run(
+                [BatchCall(op, handle, args, out_data, in_nbytes, in_sink)],
+                admit=1,
+            )
+            return out[0]
+        calls = []
+        for off in range(0, total, max_segment):
+            take = min(max_segment, total - off)
+            calls.append(BatchCall(
+                op, handle,
+                segment_args(args, off) if segment_args else args,
+                out_data[off : off + take] if out_data is not None else None,
+                take if in_nbytes else 0,
+                # each segment streams into the guest buffer at its
+                # nominal byte offset
+                None if in_sink is None
+                else lambda o, view, base=off: in_sink(base + o, view),
+            ))
+        out = yield from self._run(calls, admit=1)
+        gathered = [d for _, d in out if d is not None]
+        return (sum(r for r, _ in out if isinstance(r, (int, float))),
+                np.concatenate(gathered) if gathered else None)
 
     def submit_batch(self, calls: Sequence[BatchCall]):
         """Process: forward several requests with coalesced kicks.
 
-        Each call's chain is marshalled and posted back-to-back; the
-        backend is kicked once per posting window (exactly once when the
-        whole batch fits the descriptor ring) instead of once per
-        request, then every response is reaped in submission order.
-
-        With a QoS watermark configured a direct batch is admitted as
-        ``len(calls)`` guest-visible requests, atomically: either the
-        whole batch is admitted or the whole batch sheds with one typed
+        Admission control counts the batch as ``len(calls)`` guest-visible
+        requests, atomically: either the whole batch is admitted or the
+        whole batch sheds with one typed
         :class:`~repro.scif.errors.EBUSY` (per-op shed counters charge
-        the first call's op).  Segmented :meth:`submit` calls bypass
-        this gate — their one admission already happened at the top.
+        the first call's op).
 
         Returns ``[(result, in_data), ...]`` aligned with ``calls``.  If
         any request failed, the first host-side error is raised — but
@@ -416,132 +313,94 @@ class VPhiFrontend:
         calls = list(calls)
         if not calls:
             return []
-        adm = self.admission
-        if not adm.enabled:
-            out = yield from self._do_submit_batch(calls)
-            return out
-        adm.admit(spec_for(calls[0].op), n=len(calls))
-        t0 = self.sim.now
-        try:
-            out = yield from self._do_submit_batch(calls)
-            return out
-        finally:
-            adm.finish(self.sim.now - t0, n=len(calls))
+        out = yield from self._run(calls, admit=len(calls))
+        return out
 
-    def _do_submit_batch(self, calls: list):
-        """The already-admitted body of :meth:`submit_batch`."""
-        t0_batch = self.sim.now
+    def _run(self, calls: list, admit: int = 0, replay: bool = False):
+        """The one request path: admit, marshal, post, kick, reap, return.
+
+        Every call's chain is marshalled and posted back-to-back; the
+        backend is kicked early only when the next chain does not fit
+        the ring (a submitter parked for space needs the backend running
+        to make progress), and once at the end for the rest — exactly
+        once when the batch fits.  Responses are reaped in submission
+        order, out-of-order completions parking in the response table
+        until their turn, and the whole batch pays one syscall return.
+
+        ``admit`` is the number of guest-visible requests the gate
+        charges (0 skips admission).  ``replay`` marks a session-recovery
+        replay: it bypasses the degraded-mode submit gate (the recovery
+        process is itself what makes the session active again) and skips
+        the journal hook (the journal already holds the fact replayed).
+
+        Each call that completed records one latency sample, from the
+        start of its marshalling to the syscall return, and closes its
+        span ``"ok"``; a failed call's span closes with its real status.
+        """
+        adm = self.admission
+        if admit and adm.enabled:
+            adm.admit(spec_for(calls[0].op), n=admit)
+        else:
+            admit = 0
         prepared: list[_Prepared] = []
         try:
-            # post every chain, kicking only when the ring runs out of
-            # room (the parked-for-space path needs the backend running
-            # to make progress) and once at the end for the remainder.
-            unkicked: list[_Prepared] = []
+            kicked = 0  # prepared[:kicked] are already covered by a kick
             for call in calls:
-                p = yield from self._prepare(
-                    call.op, call.handle, call.args, call.out_data,
-                    call.in_nbytes, in_sink=call.in_sink,
-                )
+                p = yield from self._prepare(call)
                 prepared.append(p)
-                if self.virtio.ring.num_free < p.needed_descriptors and unkicked:
-                    yield from self._kick(unkicked)
-                    unkicked = []
-                yield from self._post_chain(p)
-                unkicked.append(p)
-            if unkicked:
-                yield from self._kick(unkicked)
-            # reap in submission order; out-of-order completions park in
-            # the response table until their turn.
-            out: list[tuple] = []
+                if (kicked < len(prepared) - 1
+                        and self.virtio.ring.num_free < p.needed_descriptors):
+                    yield from self._kick(prepared[kicked:-1])
+                    kicked = len(prepared) - 1
+                yield from self._post_chain(p, replay=replay)
+            yield from self._kick(prepared[kicked:])
+            # a failed call's slot stays None: the batch raises anyway
+            out: list = []
             first_error: Optional[Exception] = None
             for p in prepared:
                 try:
-                    resp = yield from self._complete(p)
+                    resp = yield from self._complete(p, replay=replay)
                 except ScifError as err:
                     if first_error is None:
                         first_error = err
-                    out.append((None, None))
+                    out.append(None)
                     continue
                 result, in_data = yield from self._finish(p, resp)
-                self.session.record(p.spec, p.orig_handle, p.req.args, result)
+                if not replay:
+                    self.session.record(p.spec, p.orig_handle, p.req.args,
+                                        result)
                 out.append((result, in_data))
-                self.tracer.observe(p.spec.latency_key, self.sim.now - t0_batch)
-            if first_error is not None:
-                # requests that did complete keep their "ok" spans even
-                # though the batch as a whole raises (the failed ones
-                # were closed with their real status by _complete).
-                for p in prepared:
+            if first_error is None:
+                # response demux + syscall return to user space
+                yield self.sim.timeout(self.costs.guest_return)
+            now = self.sim.now
+            for p, res in zip(prepared, out):
+                if res is not None:
+                    self.tracer.observe(p.spec.latency_key, now - p.t0)
+                    self.tracer.mark(p.span, SPAN_GUEST_RETURN)
                     self.tracer.end_span(p.span, "ok")
+            if first_error is not None:
                 raise first_error
-            # one response demux + syscall return for the whole batch
-            yield self.sim.timeout(self.costs.guest_return)
-            for p in prepared:
-                self.tracer.mark(p.span, SPAN_GUEST_RETURN)
-                self.tracer.end_span(p.span, "ok")
             return out
         finally:
+            if admit:
+                adm.finish(admit)
             for p in prepared:
                 p.release(self.kmalloc)
-                # any span still open here died on an exception path
-                # that never reached a completion (prepare faults,
-                # duplicate-tag SimErrors, ...): close it so no span
-                # ever leaks in the active table.
+                # idempotent close: a no-op on the normal path, the span's
+                # last line of defence on any exception path _complete did
+                # not already classify (prepare faults, duplicate-tag
+                # SimErrors, ...), so no span leaks in the active table.
                 self.tracer.end_span(p.span, "error")
-
-    def _submit_one(
-        self,
-        op: VPhiOp,
-        handle: int = 0,
-        args: Optional[dict] = None,
-        out_data: Optional[np.ndarray] = None,
-        in_nbytes: int = 0,
-        replay: bool = False,
-        in_sink=None,
-    ):
-        """One ring submission (at most ring-size/2 data descriptors).
-
-        ``replay`` marks a session-recovery replay: it bypasses the
-        degraded-mode submit gate (the recovery process is itself what
-        makes the session active again) and skips the journal hook (the
-        journal already holds the fact being replayed).
-        """
-        t0_req = self.sim.now
-        p = yield from self._prepare(op, handle, args, out_data, in_nbytes,
-                                     in_sink=in_sink)
-        try:
-            yield from self._post_chain(p, replay=replay)
-            yield from self._kick([p])
-            resp = yield from self._complete(p, replay=replay)
-            result, in_data = yield from self._finish(p, resp)
-            if not replay:
-                self.session.record(p.spec, p.orig_handle, p.req.args, result)
-            # response demux + syscall return to user space
-            yield self.sim.timeout(self.costs.guest_return)
-            self.tracer.observe(p.spec.latency_key, self.sim.now - t0_req)
-            self.tracer.mark(p.span, SPAN_GUEST_RETURN)
-            self.tracer.end_span(p.span, "ok")
-            return result, in_data
-        finally:
-            p.release(self.kmalloc)
-            # idempotent close: a no-op on the normal path, the span's
-            # last line of defence on any exception path _complete did
-            # not already classify.
-            self.tracer.end_span(p.span, "error")
 
     # ------------------------------------------------------------------
     # the four stages every submission goes through
     # ------------------------------------------------------------------
-    def _prepare(
-        self,
-        op: VPhiOp,
-        handle: int,
-        args: Optional[dict],
-        out_data: Optional[np.ndarray],
-        in_nbytes: int,
-        in_sink=None,
-    ):
+    def _prepare(self, call: BatchCall):
         """Marshal one request: header + bounce chunks + user->kernel copy."""
-        spec = spec_for(op)
+        t0 = self.sim.now
+        spec = spec_for(call.op)
+        out_data, in_nbytes = call.out_data, call.in_nbytes
         self.requests += 1
         # the request's lifecycle span opens here, before any simulated
         # work, so the marshal phase covers the whole guest-kernel entry.
@@ -586,15 +445,15 @@ class VPhiFrontend:
                 out_bb.free()
             raise
         req = VPhiRequest(
-            op=op,
-            handle=handle,
-            args=dict(args or {}),
+            op=call.op,
+            handle=call.handle,
+            args=dict(call.args or {}),
             out_nbytes=0 if out_data is None else len(out_data),
             in_nbytes=in_nbytes,
             tag=next(self._tags),
         )
         return _Prepared(spec, req, hdr_ext, out_bb, in_bb, out_descs, in_descs,
-                         orig_handle=handle, span=span, in_sink=in_sink)
+                         call.handle, span, call.in_sink, t0)
 
     def _post_chain(self, p: _Prepared, replay: bool = False):
         """Put one prepared chain on the ring, parking on exhaustion.
@@ -705,7 +564,12 @@ class VPhiFrontend:
                     attempt += 1
                     self.retries += 1
                     self.tracer.count(spec.retried_key)
-                    yield from ses.await_active()  # raises if circuit opens
+                    try:
+                        yield from ses.await_active()
+                    except EStaleEpoch:
+                        # the circuit opened while this request waited
+                        self.tracer.end_span(p.span, "stale")
+                        raise
                     self.tracer.mark(p.span, SPAN_SESSION_WAIT)
                     p.renew_tag(next(self._tags))
                     yield from self._post_chain(p, replay=replay)

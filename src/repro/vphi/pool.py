@@ -163,11 +163,6 @@ class CardArbiter:
     def priority_of(self, vm: str) -> int:
         return self._prios.get(vm, 0)
 
-    def queue_depth(self, vm: str) -> int:
-        """Ungranted acquires queued for one tenant."""
-        queue = self._queues.get(vm)
-        return len(queue) if queue else 0
-
     def _register(self, vm: str) -> None:
         if vm not in self._queues:
             self._queues[vm] = deque()

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-__all__ = ["VPhiOp", "VPhiRequest", "VPhiResponse"]
+import numpy as np
+
+__all__ = ["BatchCall", "VPhiOp", "VPhiRequest", "VPhiResponse"]
 
 
 class VPhiOp(enum.Enum):
@@ -64,6 +66,25 @@ class VPhiRequest:
     #: allowed to mutate rebuilt session state.  0 = the initial epoch
     #: (fault-free runs never see anything else).
     epoch: int = 0
+
+
+@dataclass(slots=True)
+class BatchCall:
+    """One guest-visible request as the frontend forwards it: the op,
+    its endpoint handle and scalar arguments, and its payloads."""
+
+    op: VPhiOp
+    handle: int = 0
+    args: Optional[dict] = None
+    #: guest->device payload, bounced through kmalloc chunks.
+    out_data: Optional[np.ndarray] = None
+    #: bytes of device->guest payload the chain has room for.
+    in_nbytes: int = 0
+    #: optional ``consume(offset, view)`` sink for the device->guest
+    #: payload — the copy-out streams bounce-chunk views straight to the
+    #: consumer instead of gathering a flat array (zero-allocation path
+    #: for bulk RMA reads).  ``in_data`` comes back as None when set.
+    in_sink: Optional[Callable] = None
 
 
 @dataclass(slots=True)

@@ -44,7 +44,7 @@ from typing import Any, Optional
 from ..scif.errors import EStaleEpoch, ScifError
 from ..sim import WaitQueue
 from .config import RECOVERY_SETTLE
-from .protocol import VPhiOp, VPhiResponse
+from .protocol import BatchCall, VPhiOp, VPhiResponse
 
 __all__ = [
     "ACTIVE",
@@ -566,21 +566,20 @@ class SessionManager:
                    args: Optional[dict] = None):
         """Process: one replayed op with bounded retries.
 
-        Replay rides the normal submit path (``_submit_one`` with
-        ``replay=True``: no policy gate — the recovery process itself is
-        what makes the session active again — and no journal hook: the
-        journal already holds this fact).  EStaleEpoch propagates (a new
-        fence restarts the round); other errors retry a few times spaced
-        by the settle delay, because the card-side peer may still be
-        re-establishing its listeners and windows.
+        Replay rides the normal request path (``_run`` with
+        ``replay=True``: no admission, no policy gate — the recovery
+        process itself is what makes the session active again — and no
+        journal hook: the journal already holds this fact).  EStaleEpoch
+        propagates (a new fence restarts the round); other errors retry
+        a few times spaced by the settle delay, because the card-side
+        peer may still be re-establishing its listeners and windows.
         """
         fe = self.frontend
         last: Optional[ScifError] = None
         for attempt in range(REPLAY_ATTEMPTS):
             try:
-                result, data = yield from fe._submit_one(
-                    op, handle, args, replay=True
-                )
+                out = yield from fe._run([BatchCall(op, handle, args)],
+                                         replay=True)
             except EStaleEpoch:
                 raise
             except ScifError as err:
@@ -588,7 +587,7 @@ class SessionManager:
                 yield self.sim.timeout(RECOVERY_SETTLE)
                 continue
             self.replayed_ops += 1
-            return result, data
+            return out[0]
         self.replay_failures += 1
         assert last is not None
         raise last

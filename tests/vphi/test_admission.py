@@ -1,7 +1,8 @@
-"""Admission control: watermarks, hysteresis, and the no-strand property.
+"""Admission control: the depth watermark, hysteresis, and the no-strand
+property.
 
 Unit half drives the AdmissionController against a stub frontend (the
-gate is pure accounting); the e2e half arms real watermarks on a live
+gate is pure accounting); the e2e half arms the watermark on a live
 frontend and pins the three documented invariants: one admission per
 guest-visible submit (segmentation never double-admits), replay bypasses
 the gate, and no admission decision can strand a request — every arrival
@@ -20,7 +21,7 @@ from repro.scif import ScifError
 from repro.scif.errors import EBUSY
 from repro.vphi import VPhiConfig
 from repro.vphi.ops import VPhiOp, spec_for
-from repro.vphi.qos import AdmissionController
+from repro.vphi.qos import ADMIT_HYSTERESIS, AdmissionController
 
 N_EXAMPLES = int(os.environ.get("VPHI_CHAOS_EXAMPLES", "10"))
 
@@ -63,7 +64,8 @@ class TestDepthWatermark:
         assert not adm.enabled
 
     def test_sheds_at_high_water_resumes_at_low(self):
-        adm = make(admit_queue_depth=4, admit_hysteresis=0.5)
+        adm = make(admit_queue_depth=4)
+        assert adm.depth_low == 4 * ADMIT_HYSTERESIS == 2
         for _ in range(4):
             adm.admit(SEND)
         assert adm.depth == 4
@@ -71,11 +73,11 @@ class TestDepthWatermark:
             adm.admit(SEND)
         assert adm.shed == 1
         # drain to 3: still above low water (2) -> still shedding
-        adm.finish(1e-5)
+        adm.finish()
         with pytest.raises(EBUSY):
             adm.admit(SEND)
         # drain to 2 == low water: gate re-opens
-        adm.finish(1e-5)
+        adm.finish()
         adm.admit(SEND)
         assert adm.admitted == 5
         assert adm.shed == 2
@@ -93,33 +95,8 @@ class TestDepthWatermark:
         assert adm.depth == 8, "a refused batch admits nothing"
 
 
-class TestLatencyWatermark:
-    def test_ewma_crossing_sheds_and_decays_open(self):
-        adm = make(admit_latency=1e-3, admit_hysteresis=0.5,
-                   admit_ewma_alpha=1.0)  # alpha 1: ewma = last sample
-        adm.admit(SEND)
-        adm.admit(SEND)
-        adm.finish(5e-3)  # one slow completion trips the watermark
-        with pytest.raises(EBUSY):
-            adm.admit(SEND)
-        adm.finish(1e-4)  # fast completion decays below low water…
-        # …but the frontend drained, which re-opens regardless
-        assert adm.depth == 0
-        adm.admit(SEND)
-        adm.finish(2e-4)
-
-    def test_empty_frontend_always_reopens_despite_stale_ewma(self):
-        """The no-deadlock guarantee: depth 0 overrides any EWMA."""
-        adm = make(admit_latency=1e-3, admit_ewma_alpha=1.0)
-        adm.admit(SEND)
-        adm.finish(1.0)  # catastrophic latency, ewma far above the mark
-        assert adm.ewma == 1.0
-        adm.admit(SEND)  # yet an idle frontend must admit
-        assert adm.shed == 0
-
-
 # ----------------------------------------------------------------------
-# e2e: live frontend with armed watermarks
+# e2e: live frontend with the watermark armed
 # ----------------------------------------------------------------------
 def window_server(machine, port, size=256 * KB, fill=0x5A):
     sproc = machine.card_process(f"srv{port}")
@@ -218,18 +195,16 @@ def test_replay_bypasses_admission():
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     depth=st.integers(1, 6),
-    hysteresis=st.floats(0.0, 1.0),
     burst=st.lists(st.integers(1, 16 * KB), min_size=1, max_size=24),
 )
-def test_no_admission_decision_strands_a_request(depth, hysteresis, burst):
+def test_no_admission_decision_strands_a_request(depth, burst):
     """Whatever the watermark config and open-loop burst shape, every
     submitted request resolves with a typed completion — admitted work
     finishes, shed work raises EBUSY, nothing waits forever — and the
     admission ledger balances."""
     m = Machine(cards=1).boot()
     vm = m.create_vm("vm0", ram_bytes=2 << 30, vphi_config=VPhiConfig(
-        backend_workers=2, max_inflight=4,
-        admit_queue_depth=depth, admit_hysteresis=hysteresis))
+        backend_workers=2, max_inflight=4, admit_queue_depth=depth))
     ready = window_server(m, PORT + 2)
     gproc = vm.guest_process("app")
     glib = vm.vphi.libscif(gproc)

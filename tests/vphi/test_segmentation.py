@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro import Machine
-from repro.vphi.frontend import _SegmentSinkChain
 
 MB = 1 << 20
 PORT = 9990
@@ -103,51 +102,3 @@ def test_vwriteto_spanning_multiple_segments(small_ring_vm):
     machine.run()
     assert np.array_equal(s.value, payload)
 
-
-# ----------------------------------------------------------------------
-# short-read compaction across segments (_SegmentSinkChain)
-#
-# The pre-streaming datapath concatenated per-segment payloads and wrote
-# one contiguous prefix into the guest buffer, so a short middle segment
-# (partial completion on a fault/retry path) compacted later segments
-# down.  The streaming sink chain must keep those guest-visible bytes.
-# ----------------------------------------------------------------------
-def _collect_chain(segment_payloads):
-    """Stream ``segment_payloads`` (bytes per segment, possibly short)
-    through a chain; returns the (offset -> bytes) writes in order."""
-    writes = []
-    chain = _SegmentSinkChain(lambda off, view: writes.append((off, bytes(view))))
-    for payload in segment_payloads:
-        consume = chain.segment()
-        # mimic scatter_to: contiguous views in offset order, possibly
-        # split across several chunk views
-        off = 0
-        for piece in payload:
-            consume(off, piece)
-            off += len(piece)
-    return writes
-
-
-def test_sink_chain_full_segments_use_nominal_offsets():
-    writes = _collect_chain([[b"aaaa"], [b"bb", b"bb"], [b"cc"]])
-    assert writes == [(0, b"aaaa"), (4, b"bb"), (6, b"bb"), (8, b"cc")]
-
-
-def test_sink_chain_short_middle_segment_compacts_followers():
-    # segment sizes 4 / 4 / 4, but the middle one only produced 1 byte:
-    # the old flat gather wrote a 9-byte contiguous prefix — so must we
-    writes = _collect_chain([[b"aaaa"], [b"B"], [b"cccc"]])
-    assert writes == [(0, b"aaaa"), (4, b"B"), (5, b"cccc")]
-    flat = bytearray(12)
-    n = 0
-    for off, data in writes:
-        flat[off : off + len(data)] = data
-        n = max(n, off + len(data))
-    assert bytes(flat[:n]) == b"aaaaBcccc"  # contiguous, no hole
-
-
-def test_sink_chain_zero_byte_segment_contributes_nothing():
-    # a fully-short segment never streams a view (resp.written == 0
-    # skips the scatter entirely) and must not advance the base
-    writes = _collect_chain([[b"aa"], [], [b"zz"]])
-    assert writes == [(0, b"aa"), (2, b"zz")]

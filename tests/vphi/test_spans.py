@@ -27,15 +27,16 @@ from repro.analysis import (
     validate_chrome_trace,
 )
 from repro.scif import MapFlag, ScifError
-from repro.scif.errors import ECONNRESET
+from repro.scif.errors import ECONNRESET, EStaleEpoch
 from repro.sim import us
-from repro.vphi import VPhiConfig, registered_ops
+from repro.vphi import BatchCall, VPhiConfig, VPhiOp, registered_ops, spec_for
 from repro.vphi.ops import SPAN_RETRY_BACKOFF, SPAN_SESSION_WAIT
 
 N_EXAMPLES = int(os.environ.get("VPHI_CHAOS_EXAMPLES", "10"))
 
 PORT = 8800
 KB = 1 << 10
+MB = 1 << 20
 TOL = 1e-9  # acceptance: phases sum to e2e latency within 1e-9 sim-seconds
 
 SPEC_BY_NAME = {spec.op_name: spec for spec in registered_ops()}
@@ -374,6 +375,85 @@ def test_card_reset_fences_without_leaking_spans(workers):
         or s.status != "ok"
     ]
     assert fenced, "the reset left no trace on any span"
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["single", "batched"])
+def test_broken_session_closes_cut_requests_stale(n):
+    """A session broken while requests are in flight (host failure under
+    the queue policy) fails every one of them with EStaleEpoch; each
+    span closes "stale" — never "ok" or "error" — and none stays in the
+    active table."""
+    m = Machine(cards=1).boot()
+    vm = m.create_vm("vm0", vphi_config=VPhiConfig(recovery_policy="queue"))
+    fe = vm.vphi.frontend
+
+    def client():
+        try:
+            if n == 1:
+                yield from fe.submit(VPhiOp.GET_NODE_IDS)
+            else:
+                yield from fe.submit_batch(
+                    [BatchCall(VPhiOp.GET_NODE_IDS) for _ in range(n)])
+        except EStaleEpoch:
+            return "stale"
+
+    def cutter():
+        while len(fe._inflight) < n:
+            yield m.sim.timeout(us(0.1))
+        fe.session.force_broken("host failure")
+
+    c = vm.spawn_guest(client())
+    m.sim.spawn(cutter())
+    m.run()
+    assert c.value == "stale"
+
+    spans = [s for s in vm.tracer.spans if s.op == "get_node_ids"]
+    assert [s.status for s in spans] == ["stale"] * n
+    assert not vm.tracer.active_spans
+    assert_span_contract(vm.tracer)
+
+
+def test_latency_sample_per_ring_submission_equals_its_span():
+    """Single, batched and segmented submits share one latency
+    definition: each ring submission records one sample, from the start
+    of its marshalling to the syscall return — its span's elapsed time."""
+    size = 40 * MB  # 3 segments on an 8-entry ring: 16 + 16 + 8 MB
+    m = Machine(cards=1).boot()
+    vm = m.create_vm("vm0")
+    vm.vphi.virtio.ring.__init__(8)
+    ready = window_server(m, PORT, size)
+    gproc = vm.guest_process("app")
+    glib = vm.vphi.libscif(gproc)
+    fe = vm.vphi.frontend
+
+    def client():
+        ep = yield from glib.open()
+        yield from glib.connect(ep, (m.card_node_id(0), PORT))
+        roff = yield ready
+        yield from glib.send(ep, b"x")
+        yield from fe.submit_batch([
+            BatchCall(VPhiOp.SEND, ep.handle, {"flags": 1},
+                      out_data=np.ones(4, dtype=np.uint8))
+            for _ in range(3)
+        ])
+        vma = gproc.address_space.mmap(size, populate=True)
+        yield from glib.vreadfrom(ep, vma.start, size, roff)
+
+    vm.spawn_guest(client())
+    m.run()
+
+    assert_span_contract(vm.tracer)
+    by_op: dict = {}
+    for span in vm.tracer.spans:
+        assert span.status == "ok"
+        by_op.setdefault(span.op, []).append(span.elapsed)
+    assert len(by_op["send"]) == 4 and len(by_op["vreadfrom"]) == 3
+    for op, elapsed in by_op.items():
+        stat = vm.tracer.stats[spec_for(VPhiOp(op)).latency_key]
+        assert stat.count == len(elapsed), op
+        assert stat.total == pytest.approx(sum(elapsed), rel=1e-12), op
+        assert stat.min == pytest.approx(min(elapsed), rel=1e-12), op
+        assert stat.max == pytest.approx(max(elapsed), rel=1e-12), op
 
 
 # ----------------------------------------------------------------------
