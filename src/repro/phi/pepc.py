@@ -84,7 +84,10 @@ class PowerControl:
 
     # -- scope resolution ----------------------------------------------
     def _resolve(self, scope: Optional[Scope]) -> list[tuple]:
-        """``[(host_idx, device, cores_or_None), ...]`` for a scope."""
+        """``[(host_idx, device, cores_or_None), ...]`` for a scope.
+
+        Every named core is checked against its card before anything is
+        returned, so a bad core touches no card."""
         scope = scope or Scope.everything()
         if scope.level not in Scope.LEVELS:
             raise SimError(f"unknown pepc scope level {scope.level!r}")
@@ -97,6 +100,11 @@ class PowerControl:
             for c, device in enumerate(machine.devices):
                 if scope.card is not None and c != scope.card:
                     continue
+                for core in scope.cores or ():
+                    if not 0 <= core < device.sku.cores:
+                        raise SimError(
+                            f"pepc scope {scope}: h{h}/{device.name} has no "
+                            f"core {core} (cores 0..{device.sku.cores - 1})")
                 targets.append((h, device, scope.cores))
         if not targets:
             raise SimError(f"pepc scope {scope} matches no cards")

@@ -32,6 +32,15 @@ bounds staleness while compute jobs run — it re-arms only while the
 scheduler is busy, so an idle simulation still drains its event queue
 and ``sim.run()`` terminates.
 
+Card power and the clock scale are sums over every core, and one
+governor tick asks for card power up to seven times.  Both are
+memoized per instance: :meth:`PhiPowerModel.power_watts` on (floor,
+active user cores) and :meth:`PhiPowerModel.multiplier` on the floor.
+Every mutator of what the sums read (per-core requests, uncore
+multiplier, C-state enablement, the scheduler binding) clears both, so
+a tick walks the cores only the first time it meets a state, and a hit
+returns the very float the walk produced.
+
 The model feeds performance two ways:
 
 * :meth:`multiplier` scales the uOS scheduler's processor-sharing
@@ -203,18 +212,25 @@ class PhiPowerModel:
         self._last = sim.now
         self._armed = False
         self._gen = 0  # invalidates stale governor ticks
+        #: memoized core walks: (floor, active user cores) -> watts and
+        #: floor -> clock scale; :meth:`_forget` empties both.
+        self._watts: dict[tuple[int, int], float] = {}
+        self._scales: dict[int, float] = {}
 
     # -- wiring --------------------------------------------------------
     def attach_scheduler(self, scheduler) -> None:
         """Bind the booted uOS scheduler (demand source + rate sink)."""
         self._scheduler = scheduler
         scheduler.power = self
+        self._forget()
         self.refresh()
 
     def detach_scheduler(self) -> None:
-        if self._scheduler is not None and self._scheduler.power is self:
-            self._scheduler.power = None
-        self._scheduler = None
+        if self._scheduler is not None:
+            if self._scheduler.power is self:
+                self._scheduler.power = None
+            self._scheduler = None
+            self._forget()
         self._gen += 1  # kill any armed governor tick
         self._armed = False
 
@@ -235,6 +251,14 @@ class PhiPowerModel:
         self.tdp_cap = self.default_cap
         self.uncore_mult = 1.0
         self.cstates_enabled = self.config.cstates_enabled
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop the memoized watts and clock scales.  Called by every
+        mutator of what the core walks read: per-core requests, uncore
+        multiplier, C-state enablement and the scheduler binding."""
+        self._watts.clear()
+        self._scales.clear()
 
     # -- demand / effective state --------------------------------------
     def _demand(self) -> int:
@@ -265,11 +289,14 @@ class PhiPowerModel:
         """Mean effective-frequency fraction over the usable cores — the
         scheduler's processor-sharing rates scale by this (<= 1)."""
         floor = self._floor()
-        f0 = self.pstates[0].freq_hz
-        usable = self.sku.usable_cores
-        total = sum(self.pstates[max(r, floor)].freq_hz
-                    for r in self.requested[:usable])
-        return total / (usable * f0)
+        scale = self._scales.get(floor)
+        if scale is None:
+            f0 = self.pstates[0].freq_hz
+            usable = self.sku.usable_cores
+            total = sum(self.pstates[max(r, floor)].freq_hz
+                        for r in self.requested[:usable])
+            scale = self._scales[floor] = total / (usable * f0)
+        return scale
 
     def cost_multiplier(self) -> float:
         """Slowdown applied to the registry's fixed cost hooks (>= 1).
@@ -292,6 +319,10 @@ class PhiPowerModel:
             demand = self._demand()
         sku = self.sku
         active_user = min(demand, sku.usable_cores)
+        key = (floor, active_user)
+        watts = self._watts.get(key)
+        if watts is not None:
+            return watts
         f0 = self.pstates[0].freq_hz
         v0 = self.pstates[0].voltage
         watts = self.p_idle + self.p_uncore * self.uncore_mult
@@ -310,6 +341,7 @@ class PhiPowerModel:
                 watts += self.p_core * CSTATES["C6"]
             else:
                 watts += self.p_core * CSTATES["C0_IDLE"] * scale
+        self._watts[key] = watts
         return watts
 
     # -- integration ---------------------------------------------------
@@ -321,12 +353,13 @@ class PhiPowerModel:
         dt = now - self._last
         if dt <= 0:
             return
-        watts = self.power_watts()
+        demand = self._demand()
+        watts = self.power_watts(demand=demand)
         self.energy_j += watts * dt
         self.pstate_residency[self._floor()] += dt
         if self.is_throttled:
             self.throttled_time += dt
-        active_user = min(self._demand(), self.sku.usable_cores)
+        active_user = min(demand, self.sku.usable_cores)
         idle_user = self.sku.usable_cores - active_user
         busy = active_user + (1 if self._scheduler is not None else 0)
         self.cstate_core_seconds["C0"] += busy * dt
@@ -351,10 +384,11 @@ class PhiPowerModel:
         elif (self.thermal_throttled
               and self.temp_c <= cfg.trip_c - cfg.trip_hysteresis_c):
             self.thermal_throttled = False
+        demand = self._demand()
         deepest = len(self.pstates) - 1
         floor = deepest
         for idx in range(len(self.pstates)):
-            if self.power_watts(floor=idx) <= self.tdp_cap + 1e-9:
+            if self.power_watts(idx, demand) <= self.tdp_cap + 1e-9:
                 floor = idx
                 break
         self.throttle_idx = floor
@@ -405,16 +439,22 @@ class PhiPowerModel:
 
     # -- pepc-facing setters -------------------------------------------
     def set_pstate(self, index: int, cores: Optional[list[int]] = None) -> None:
-        """Request a P-state for some cores (default: all)."""
+        """Request a P-state for some cores (default: all).
+
+        Every core is checked before any request changes, so a bad core
+        leaves the whole card as it was."""
         if not 0 <= index < len(self.pstates):
             raise SimError(
                 f"{self.name}: P-state {index} out of range "
                 f"0..{len(self.pstates) - 1}")
-        self.advance()
-        for core in (range(self.sku.cores) if cores is None else cores):
+        cores = range(self.sku.cores) if cores is None else list(cores)
+        for core in cores:
             if not 0 <= core < self.sku.cores:
                 raise SimError(f"{self.name}: no core {core}")
+        self.advance()
+        for core in cores:
             self.requested[core] = index
+        self._forget()
         self._policy()
 
     def set_tdp_cap(self, watts: float) -> None:
@@ -427,6 +467,7 @@ class PhiPowerModel:
     def set_cstates(self, enabled: bool) -> None:
         self.advance()
         self.cstates_enabled = bool(enabled)
+        self._forget()
         self._policy()
 
     def set_uncore(self, mult: float) -> None:
@@ -436,6 +477,7 @@ class PhiPowerModel:
                 f"[{self.UNCORE_MIN}, {self.UNCORE_MAX}]")
         self.advance()
         self.uncore_mult = float(mult)
+        self._forget()
         self._policy()
 
     # -- reporting -----------------------------------------------------

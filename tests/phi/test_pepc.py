@@ -180,6 +180,20 @@ class TestErrors:
         with pytest.raises(SimError, match="at least one machine"):
             PowerControl([])
 
+    @pytest.mark.parametrize("core", [99, -1])
+    def test_core_outside_the_card_is_a_typed_error(self, core):
+        """Regression: core 99 raised a bare IndexError, and core -1
+        read back the last core's row under the name -1."""
+        m = powered(cards=1)
+        with pytest.raises(SimError, match=f"no core {core}"):
+            m.pepc().info(Scope.one_core([core], card=0))
+
+    def test_bad_core_in_a_set_touches_no_card(self):
+        m = powered(cards=1)
+        with pytest.raises(SimError, match="no core 99"):
+            m.pepc().set_pstate(3, Scope.one_core([0, 99], card=0))
+        assert not any(m.devices[0].power.requested)
+
 
 class TestCli:
     def test_pepc_card_scope_sets_and_renders(self, capsys):

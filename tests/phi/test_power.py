@@ -136,6 +136,21 @@ class TestPStateControl:
         with pytest.raises(SimError, match="no core"):
             dev.power.set_pstate(1, cores=[CARD.cores])
 
+    def test_bad_core_leaves_every_request_unchanged(self):
+        """Regression: a good core listed before a bad one kept its new
+        request, so ``multiplier()`` moved while the scheduler's clock
+        scale stayed put until the next refresh."""
+        m = powered_machine()
+        power = m.devices[0].power
+        scheduler = m.uos(0).scheduler
+        floor, scale = power.throttle_idx, scheduler.clock_scale
+        with pytest.raises(SimError, match=f"no core {CARD.cores}"):
+            power.set_pstate(3, cores=[0, CARD.cores])
+        assert power.requested == [0] * CARD.cores
+        assert power.throttle_idx == floor
+        assert scheduler.clock_scale == scale
+        assert power.multiplier() == scale
+
     def test_uncore_bounds(self):
         _, dev = booted_device()
         with pytest.raises(SimError, match="uncore"):
