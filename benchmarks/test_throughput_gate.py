@@ -8,7 +8,7 @@ fast one even though the code is fine — so every floor is **calibrated
 on the same runner, in the same process, right before the measurement**:
 
 * the scheduler gate is floored against a raw ``heapq`` push/pop loop —
-  the primitive the calendar queue replaced.  The optimized kernel runs
+  the primitive the kernel's queue is built on.  The optimized kernel runs
   a full generator-process timeout cycle at a median 0.312 (1/3.2) of
   the raw-heap rate, quartiles 0.295-0.338 (``perfbench``'s
   ``sim.events_per_heapq_op`` on a 2-vCPU shared Xeon VM);
@@ -51,8 +51,8 @@ from test_fig5_throughput import SIZES as FIG5_SIZES
 
 #: scheduler floor: fraction of the raw-heapq reference rate the full
 #: simulator must clear.  Measured median 0.312 (1/3.2, quartiles
-#: 0.295-0.338) on the optimized kernel; the pre-calendar kernel ran
-#: ~1/25.
+#: 0.295-0.338) on the optimized kernel; the pre-optimization kernel
+#: ran ~1/25.
 EVENTS_HEAP_RATIO_FLOOR = 1 / 10
 
 #: Fig 5 floor, CPU leg: guest bytes per raw-heapq-op-equivalent.

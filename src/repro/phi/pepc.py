@@ -84,15 +84,28 @@ class PowerControl:
 
     # -- scope resolution ----------------------------------------------
     def _resolve(self, scope: Optional[Scope]) -> list[tuple]:
-        """``[(host_idx, device, cores_or_None), ...]`` for a scope.
+        """``[(host_idx, device, power_model, cores_or_None), ...]`` for
+        a scope.
 
-        Every named core is checked against its card before anything is
-        returned, so a bad core touches no card."""
+        Every named core and every card's power model are checked before
+        anything is returned, so a bad core or an unpowered card among
+        the targets touches no card."""
         scope = scope or Scope.everything()
         if scope.level not in Scope.LEVELS:
             raise SimError(f"unknown pepc scope level {scope.level!r}")
-        if scope.level == "vm":
-            return [self._resolve_vm(scope.vm)]
+        targets = ([self._resolve_vm(scope.vm)] if scope.level == "vm"
+                   else self._resolve_cards(scope))
+        for h, device, _ in targets:
+            if device.power is None:
+                raise SimError(
+                    f"h{h}/{device.name}: power_model='none' — construct the "
+                    "Machine/Cluster with power_model='knc' to use pepc")
+        return [(h, device, device.power, cores)
+                for h, device, cores in targets]
+
+    def _resolve_cards(self, scope: Scope) -> list[tuple]:
+        """``[(host_idx, device, cores_or_None), ...]`` for a global,
+        card or core scope."""
         targets = []
         for h, machine in enumerate(self.machines):
             if scope.host is not None and h != scope.host:
@@ -122,19 +135,11 @@ class PowerControl:
                 return (h, machine.devices[inst.card], None)
         raise SimError(f"pepc: VM {name!r} runs on none of these machines")
 
-    def _power(self, host: int, device):
-        if device.power is None:
-            raise SimError(
-                f"h{host}/{device.name}: power_model='none' — construct the "
-                "Machine/Cluster with power_model='knc' to use pepc")
-        return device.power
-
     # -- properties ----------------------------------------------------
     def info(self, scope: Optional[Scope] = None) -> list[dict]:
         """One row per addressed card (live values; advances the model)."""
         rows = []
-        for host, device, cores in self._resolve(scope):
-            power = self._power(host, device)
+        for host, device, power, cores in self._resolve(scope):
             power.refresh()
             core_list = (range(device.sku.cores) if cores is None else cores)
             rows.append({
@@ -159,21 +164,20 @@ class PowerControl:
         return rows
 
     def set_pstate(self, index: int, scope: Optional[Scope] = None) -> None:
-        for host, device, cores in self._resolve(scope):
-            self._power(host, device).set_pstate(
-                index, cores=None if cores is None else list(cores))
+        for _, _, power, cores in self._resolve(scope):
+            power.set_pstate(index, cores=None if cores is None else list(cores))
 
     def set_cstates(self, enabled: bool, scope: Optional[Scope] = None) -> None:
-        for host, device, _ in self._resolve(scope):
-            self._power(host, device).set_cstates(enabled)
+        for _, _, power, _ in self._resolve(scope):
+            power.set_cstates(enabled)
 
     def set_tdp(self, watts: float, scope: Optional[Scope] = None) -> None:
-        for host, device, _ in self._resolve(scope):
-            self._power(host, device).set_tdp_cap(watts)
+        for _, _, power, _ in self._resolve(scope):
+            power.set_tdp_cap(watts)
 
     def set_uncore(self, mult: float, scope: Optional[Scope] = None) -> None:
-        for host, device, _ in self._resolve(scope):
-            self._power(host, device).set_uncore(mult)
+        for _, _, power, _ in self._resolve(scope):
+            power.set_uncore(mult)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cards = sum(len(m.devices) for m in self.machines)

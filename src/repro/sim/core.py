@@ -114,6 +114,8 @@ class Event:
         """Mark the event successful; fire after ``delay`` simulated seconds."""
         if self._triggered:
             raise SimError(f"event {self.name or self!r} already triggered")
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
         self._triggered = True
         self._value = value
         self.sim._schedule_event(self, delay)
@@ -125,6 +127,8 @@ class Event:
             raise SimError(f"event {self.name or self!r} already triggered")
         if not isinstance(exc, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
         self._triggered = True
         self._exc = exc
         self.sim._schedule_event(self, delay)
@@ -176,8 +180,6 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout: {delay}")
         super().__init__(sim, name=f"timeout({delay:g})")
         self.delay = delay
         self.succeed(value, delay=delay)

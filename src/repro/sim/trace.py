@@ -236,23 +236,6 @@ class Tracer:
         self.spans: deque[Span] = deque(maxlen=DEFAULT_MAX_SPANS)
         self.dropped_spans = 0
 
-    # ------------------------------------------------------------------
-    # ring-buffer cap, hoisted: end_span fires on every request, so "is
-    # the ring capped and full" must be one comparison against a
-    # precomputed cap — not a maxlen None-test per call.  A cap of -1
-    # means unbounded (a length never equals it).  The ring stays a
-    # plain attribute to callers; assigning a replacement deque (as the
-    # soak tests do) recomputes the cap through the setter.
-    # ------------------------------------------------------------------
-    @property
-    def spans(self) -> deque:
-        return self._spans
-
-    @spans.setter
-    def spans(self, ring: deque) -> None:
-        self._spans = ring
-        self._spans_cap = -1 if ring.maxlen is None else ring.maxlen
-
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the simulator's ``now`` so spans carry simulated time."""
         self._clock = clock
@@ -313,8 +296,8 @@ class Tracer:
         for tag in span.tags:
             if self.active_spans.get(tag) is span:
                 del self.active_spans[tag]
-        spans = self._spans
-        if len(spans) == self._spans_cap:
+        spans = self.spans
+        if len(spans) == spans.maxlen:
             self.dropped_spans += 1
         spans.append(span)
 

@@ -283,19 +283,13 @@ class VPhiBackend:
                 # throttled dispatch: the slow op lands in the same span
                 # phases, so the p99 spike is attributable in the breakdown
                 self.throttled_ops += 1
-        pre = spec.pre_cost
-        if pre is not None:
-            yield self.sim.timeout(scale * (
-                self._fixed_cost(spec.op, pre, self._fixed_pre)
-                if isinstance(pre, tuple) else pre(self, req)
-            ))
+        if spec.pre_cost is not None:
+            yield self.sim.timeout(scale * self._fixed_cost(
+                spec.op, spec.pre_cost, self._fixed_pre))
         result, written = yield from spec.handler(self, req, elem, req.args)
-        post = spec.post_cost
-        if post is not None:
-            yield self.sim.timeout(scale * (
-                self._fixed_cost(spec.op, post, self._fixed_post)
-                if isinstance(post, tuple) else post(self, req)
-            ))
+        if spec.post_cost is not None:
+            yield self.sim.timeout(scale * self._fixed_cost(
+                spec.op, spec.post_cost, self._fixed_post))
         return result, written
 
     # ------------------------------------------------------------------

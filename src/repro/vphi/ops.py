@@ -169,14 +169,12 @@ class OpSpec:
     #: op may carry a host->guest bulk payload (in descriptors).
     carries_in: bool = False
     #: fixed host-side simulated seconds charged before/after the handler
-    #: (syscall entry + driver dispatch, completion message, ...).
-    #: Preferred form: a tuple of cost-table attribute names (e.g.
-    #: ``("syscall", "driver")``) resolved once per backend against its
-    #: ``lib.costs`` into a plain float and cached.  A callable
-    #: ``(backend, req) -> float`` stays supported as the escape hatch
-    #: for genuinely dynamic costs.
-    pre_cost: Optional[Callable | tuple] = None
-    post_cost: Optional[Callable | tuple] = None
+    #: (syscall entry + driver dispatch, completion message, ...): a
+    #: tuple of cost-table attribute names (e.g. ``("syscall",
+    #: "driver")``) resolved once per backend against its ``lib.costs``
+    #: into a plain float and cached.
+    pre_cost: Optional[tuple[str, ...]] = None
+    post_cost: Optional[tuple[str, ...]] = None
     #: whether the backend's worker pool may service this op.  ``None``
     #: (the default) derives from the blocking class — see :attr:`rides_pool`.
     pool_eligible: Optional[bool] = None
@@ -355,8 +353,8 @@ def register(
     wants_endpoint: bool = True,
     carries_out: bool = False,
     carries_in: bool = False,
-    pre_cost: Optional[Callable | tuple] = None,
-    post_cost: Optional[Callable | tuple] = None,
+    pre_cost: Optional[tuple[str, ...]] = None,
+    post_cost: Optional[tuple[str, ...]] = None,
     pool_eligible: Optional[bool] = None,
     replayable: bool = False,
     journal: Optional[Callable] = None,
@@ -426,9 +424,8 @@ def temporary_op(op: Any, handler: Callable, **kwargs) -> Iterator[OpSpec]:
 
 # ======================================================================
 # cost keys shared by the RMA family: one host ioctl pays syscall entry
-# + driver dispatch up front and one completion message at the end.
-# Declarative (resolved against the backend's ``lib.costs`` once and
-# cached) rather than callables invoked per request.
+# + driver dispatch up front and one completion message at the end,
+# resolved against the backend's ``lib.costs`` once and cached.
 # ======================================================================
 RMA_PRE_COST = ("syscall", "driver")
 RMA_POST_COST = ("completion",)

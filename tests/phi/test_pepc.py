@@ -194,6 +194,19 @@ class TestErrors:
             m.pepc().set_pstate(3, Scope.one_core([0, 99], card=0))
         assert not any(m.devices[0].power.requested)
 
+    @pytest.mark.parametrize("setter, value", [
+        ("set_tdp", 200.0), ("set_pstate", 3), ("set_cstates", False),
+        ("set_uncore", 0.5)])
+    def test_unpowered_card_in_a_set_touches_no_card(self, setter, value):
+        """Regression: each card's power model was checked only when its
+        turn came, so a global set changed h0's powered card before
+        raising for h1's unpowered one."""
+        knc, plain = powered(cards=1), Machine(cards=1).boot()
+        before = knc.pepc().info()
+        with pytest.raises(SimError, match="h1/mic0: power_model='none'"):
+            getattr(PowerControl([knc, plain]), setter)(value)
+        assert knc.pepc().info() == before
+
 
 class TestCli:
     def test_pepc_card_scope_sets_and_renders(self, capsys):

@@ -1,11 +1,11 @@
-"""The calendar queue must be observationally identical to a plain heap.
+"""The kernel's queue must be observationally identical to a plain heap.
 
-The scheduler rebuild (calendar buckets + same-tick fast lane + far-future
-heap) is only admissible because firing order is *exactly* the old heap's
-``(time, seq)`` order — every golden digest depends on it.  These tests
-drive the queue directly with adversarial schedules (Hypothesis) and
-through the Simulator, and pin the tombstone/compaction behavior that
-keeps abandoned timeouts from growing the queue without bound.
+``CalendarQueue`` (a heap plus a same-tick FIFO lane) must fire in
+*exactly* the single heap's ``(time, seq)`` order — every golden digest
+depends on it.  These tests drive the queue directly with adversarial
+schedules (Hypothesis) and through the Simulator, and pin the
+tombstone/compaction behavior that keeps abandoned timeouts from growing
+the queue without bound.
 """
 
 import heapq
@@ -39,9 +39,9 @@ class HeapModel:
         return order
 
 
-#: delays spanning the regimes the queue tiers split on: zero-delay (fast
-#: lane), sub-horizon microsecond costs (wheel), and far-future sleeps
-#: (overflow heap) — plus exact duplicates to exercise FIFO tie-breaks.
+#: delays spanning the simulator's regimes: zero-delay (the same-tick
+#: lane), microsecond device costs, and far-future sleeps — plus exact
+#: duplicates to exercise FIFO tie-breaks.
 _delays = st.one_of(
     st.just(0.0),
     st.floats(min_value=0.0, max_value=20e-6),
@@ -54,14 +54,14 @@ _delays = st.one_of(
 @given(st.lists(_delays, min_size=0, max_size=120), st.randoms())
 def test_firing_order_indistinguishable_from_heap(delays, rng):
     """Random schedules, including pushes interleaved with pops, fire in
-    identical order on the calendar queue and the reference heap."""
+    identical order on the queue and the reference heap."""
     cq = CalendarQueue()
     ref = HeapModel()
     pending = list(enumerate(delays))
     got, want = [], []
     now = 0.0
     # interleave: push a random prefix, pop a few, repeat — mid-drain
-    # insertion is where bucket/cursor bugs hide
+    # insertion is where lane/heap ordering bugs hide
     while pending or len(cq):
         take = rng.randint(0, len(pending)) if pending else 0
         for label, delay in pending[:take]:
@@ -104,10 +104,10 @@ def test_simulator_timeout_order_matches_heap_order(delays):
 
 
 def test_zero_delay_fast_lane_respects_earlier_heap_entries():
-    """A wheel entry at time T with a smaller seq must fire before a
+    """A heap entry at time T with a smaller seq must fire before a
     zero-delay entry created later at the same instant."""
     cq = CalendarQueue()
-    cq.push(1e-6, "scheduled-first", 0.0)   # lands in the wheel
+    cq.push(1e-6, "scheduled-first", 0.0)   # lands in the heap
     entry = cq.pop()
     assert entry[2] == "scheduled-first"
     now = entry[0]
@@ -128,16 +128,17 @@ def test_pop_limit_stops_at_horizon():
 
 
 # ----------------------------------------------------------------------
-# rebase against a far-future head (the run(until=...) reordering bug)
+# a far-future head, then earlier work (the run(until=...) reordering bug
+# of the earlier three-tier calendar queue)
 # ----------------------------------------------------------------------
 def test_pop_limit_rebase_then_earlier_push_keeps_order():
-    """The regression: pop(limit) below a far-future head eagerly rebases
-    the wheel to that head's time; a later push *between* now and the
-    rebased base must still fire first, not after it."""
+    """The regression: pop(limit) stops short of a far-future head; a
+    later push *between* now and that head must still fire first, not
+    after it."""
     cq = CalendarQueue()
     cq.push(100.0, "late", 0.0)
-    assert cq.pop(limit=5.0) is None     # parks; wheel rebased to t=100
-    cq.push(50.0, "early", 5.0)          # now < when < base
+    assert cq.pop(limit=5.0) is None     # parks short of t=100
+    cq.push(50.0, "early", 5.0)          # now < when < parked head
     a = cq.pop()
     b = cq.pop()
     assert (a[0], a[2]) == (50.0, "early")
@@ -146,7 +147,7 @@ def test_pop_limit_rebase_then_earlier_push_keeps_order():
 
 
 def test_peek_rebase_then_earlier_push_keeps_order():
-    """peek() also rebases eagerly; a subsequent sub-base push must win."""
+    """peek() at a far-future head; a later, earlier push must win."""
     cq = CalendarQueue()
     cq.push(100.0, "late", 0.0)
     assert cq.peek() == 100.0
@@ -170,18 +171,18 @@ def test_run_until_then_earlier_schedule_fires_in_order():
 
 
 def test_rewind_rebase_with_far_entries_below_start():
-    """Wheel emptied by compaction while the far heap holds sub-base
-    leftovers: the rewind rebase must front-bucket far entries even
-    earlier than its start time instead of mis-indexing them."""
+    """Compaction after a parked pop(limit), then a push between the
+    survivors: order holds across the compacted heap (the rewind-rebase
+    case of the earlier three-tier calendar queue)."""
     cq = CalendarQueue(compact_threshold=0)
     a = cq.push(100.0, "a", 0.0)
-    assert cq.pop(limit=1.0) is None     # wheel rebased to base=100
-    cq.push(3.0, "b", 1.0)               # below base -> far heap
-    c = cq.push(100.2, "c", 1.0)         # beyond the wheel horizon -> far
+    assert cq.pop(limit=1.0) is None     # parks short of t=100
+    cq.push(3.0, "b", 1.0)               # earlier than the parked head
+    c = cq.push(100.2, "c", 1.0)         # later than it
     cq.cancel(a)
     cq.cancel(c)                         # tombstones > live: compaction
     assert cq.compactions >= 1
-    cq.push(5.0, "d", 1.0)               # empty wheel + below base: rewind
+    cq.push(5.0, "d", 1.0)               # lands after the survivor
     assert [(e[0], e[2]) for e in (cq.pop(), cq.pop())] == [
         (3.0, "b"), (5.0, "d")]
     assert cq.pop() is None
@@ -191,37 +192,52 @@ def test_rewind_rebase_with_far_entries_below_start():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_delays, min_size=0, max_size=100), st.randoms())
 def test_limited_pops_and_peeks_never_reorder(delays, rng):
-    """Random schedules interleaved with peek() and pop(limit) — the
-    calls that eagerly rebase the wheel — still fire in exact reference
-    heap order, including pushes landing below the rebased base."""
-    cq = CalendarQueue()
+    """Random schedules interleaved with peek(), pop(limit) and cancel()
+    of a random live entry still fire in exact reference heap order,
+    including pushes landing below a head a limited pop stopped short
+    of; the reference heap skips cancelled labels."""
+    cq = CalendarQueue(compact_threshold=2)
     ref = []
     seq = 0
+    live, cancelled = {}, set()
     pending = list(enumerate(delays))
     now = 0.0
+
+    def skip_cancelled():
+        while ref and ref[0][2] in cancelled:
+            heapq.heappop(ref)
+
     while pending or len(cq):
         take = rng.randint(0, len(pending)) if pending else 0
         for label, delay in pending[:take]:
-            cq.push(now + delay, ("t", label), now)
+            live[label] = cq.push(now + delay, ("t", label), now)
             heapq.heappush(ref, (now + delay, seq, ("t", label)))
             seq += 1
         del pending[:take]
         for _ in range(rng.randint(1, 4)):
             roll = rng.random()
+            if roll < 0.15 and live:
+                label = rng.choice(list(live))
+                cq.cancel(live.pop(label))  # may compact
+                cancelled.add(("t", label))
+                continue
             if roll < 0.3:
-                cq.peek()  # may rebase; must never reorder
+                cq.peek()  # reaps dead heads; must never reorder
                 continue
             limit = None
             if roll < 0.7:
                 head = cq.peek()
                 limit = (head if head is not None else now) * rng.uniform(0.0, 1.5)
             entry = cq.pop(limit)
+            skip_cancelled()
             if entry is None:
                 assert not ref or (limit is not None and ref[0][0] > limit)
                 break
             when, _, label = heapq.heappop(ref)
             assert (entry[0], entry[2]) == (when, label)
+            del live[label[1]]
             now = max(now, entry[0])
+    skip_cancelled()
     assert not ref
 
 

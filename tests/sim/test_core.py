@@ -58,6 +58,20 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+def test_negative_event_delay_rejected():
+    """Regression: a negative delay used to be accepted and the event
+    fired at ``now``; it is rejected, as a negative timeout is, and the
+    event stays untriggered."""
+    sim = Simulator()
+    ev = sim.event()
+    with pytest.raises(ValueError, match="negative"):
+        ev.succeed("v", delay=-0.5)
+    with pytest.raises(ValueError, match="negative"):
+        ev.fail(RuntimeError("boom"), delay=-0.5)
+    assert not ev.triggered
+    assert sim.peek() is None
+
+
 def test_timeout_carries_value():
     sim = Simulator()
 

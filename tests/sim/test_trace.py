@@ -230,10 +230,10 @@ def test_reset_clears_spans():
 
 
 def test_replacing_a_ring_rebinds_its_drop_bookkeeping():
-    """The bound check is hoisted to a precomputed cap; swapping in a
-    replacement deque (as soak harnesses do) must rebind it — drops
-    keep being counted against the *new* cap, and an uncapped
-    replacement stops counting drops entirely."""
+    """Drops are counted against the ring's own ``maxlen``, so swapping
+    in a replacement deque (as soak harnesses do) counts them against
+    the *new* cap, and an uncapped replacement stops counting drops
+    entirely."""
     from collections import deque
 
     sim, t = _clocked_tracer()
