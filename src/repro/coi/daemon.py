@@ -103,7 +103,7 @@ class CoiDaemon:
         binary = lookup_binary(name)
         if binary is None:
             return {"ok": False, "error": f"no such MIC binary {name!r}"}
-        if zlib.crc32(content.tobytes()) != binary.checksum():
+        if zlib.crc32(content) != binary.checksum():
             return {"ok": False, "error": "binary checksum mismatch after transfer"}
         pid = next(self._pids)
         record = _CardProcess(pid, name)
@@ -148,8 +148,9 @@ class CoiDaemon:
 
     def _op_buffer_read(self, msg, conn):
         (ext,) = self.buffers[msg["buffer"]]
-        data = ext.read(msg.get("offset", 0), msg["nbytes"])
-        yield from self.lib.send(conn, data)
+        # views of card memory: send snapshots them on entry
+        views = [v for _, v in ext.iter_views(msg.get("offset", 0), msg["nbytes"])]
+        yield from self.lib.send(conn, views)
         return {"ok": True}
 
     def _op_buffer_destroy(self, msg, conn):

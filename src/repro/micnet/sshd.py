@@ -96,7 +96,7 @@ class SshDaemon:
     def _cmd_scp(self, msg, sock: NetSocket):
         """Receive one file's bytes into the card filesystem."""
         data = yield from sock.recv(msg["size"])
-        self.filesystem[msg["path"]] = (msg["size"], zlib.crc32(data.tobytes()))
+        self.filesystem[msg["path"]] = (msg["size"], zlib.crc32(data))
         return {"ok": True, "path": msg["path"]}
 
     def _cmd_exec(self, msg, sock: NetSocket):

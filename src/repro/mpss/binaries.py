@@ -10,7 +10,7 @@ registry the coi_daemon resolves names against.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +37,8 @@ class MICBinary:
     #: ``entry(uos, proc, argv, env) -> generator returning an exit dict``
     entry: Callable
     deps: tuple = ()
+    _crc: Optional[int] = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @property
     def total_transfer_bytes(self) -> int:
@@ -44,12 +46,16 @@ class MICBinary:
         return self.size + sum(d.size for d in self.deps)
 
     def content(self) -> np.ndarray:
-        """Deterministic fake ELF bytes (checksummed by the loader)."""
+        """Deterministic fake ELF bytes (checksummed by the loader), as a
+        fresh writable array on every call."""
         rng = np.random.default_rng(zlib.crc32(self.name.encode()))
         return rng.integers(0, 256, size=self.size, dtype=np.uint8)
 
     def checksum(self) -> int:
-        return zlib.crc32(self.content().tobytes())
+        """CRC-32 of :meth:`content`, drawn once per binary."""
+        if self._crc is None:
+            self._crc = zlib.crc32(self.content())
+        return self._crc
 
 
 #: global registry (name -> binary), populated by workloads at import.

@@ -33,7 +33,11 @@ from .rma import execute_rma
 
 __all__ = ["NativeScif", "as_bytes_array"]
 
-DataLike = Union[bytes, bytearray, memoryview, np.ndarray, Buffer]
+#: a message payload: a buffer, or a list of uint8 arrays that together
+#: hold the message in order (views of simulated memory, such as the vPHI
+#: backend's guest bounce chunks).
+DataLike = Union[bytes, bytearray, memoryview, np.ndarray, Buffer,
+                 list[np.ndarray]]
 
 
 def _write_u64(sg, value: int) -> None:
@@ -50,14 +54,25 @@ def _write_u64(sg, value: int) -> None:
 
 def as_bytes_array(data: DataLike) -> np.ndarray:
     """Normalize any payload type to a uint8 numpy array (no copy when
-    already uint8)."""
+    already uint8; a list of arrays is gathered into one)."""
     if isinstance(data, Buffer):
         return data.data
     if isinstance(data, np.ndarray):
         if data.dtype == np.uint8:
             return data
         return np.ascontiguousarray(data).view(np.uint8)
+    if isinstance(data, list):
+        return np.concatenate(data) if data else np.empty(0, dtype=np.uint8)
     return np.frombuffer(bytes(data), dtype=np.uint8)
+
+
+def _snapshot(data: DataLike) -> np.ndarray:
+    """A fresh, writable uint8 copy of a message payload: the one host
+    copy a SCIF message takes.  A list is gathered straight into the
+    copy, without an intermediate."""
+    if isinstance(data, list):
+        return as_bytes_array(data)
+    return as_bytes_array(data).copy()
 
 
 class NativeScif:
@@ -206,12 +221,17 @@ class NativeScif:
 
         Native 1-byte cost: syscall+driver (1.5 µs) + wire (2 µs) +
         card ISR (1 µs) + ack (2 µs) + completion (0.5 µs) = 7 µs (Fig 4).
+
+        The payload is snapshotted before any simulated time passes, and
+        the snapshot is what the peer's receive queue holds: a later
+        write to ``data`` (or to the guest frames its views alias) never
+        reaches the bytes in flight.
         """
+        payload = _snapshot(data)
         yield self._syscall()
         self._check_connected(ep)
         if ep.peer_closed or ep.peer is None:
             raise ECONNRESET("peer endpoint closed")
-        payload = as_bytes_array(data)
         if len(payload) == 0:
             # scif_send(ep, buf, 0) returns 0 without touching the wire
             # (matching Linux); the connection checks above still apply.
@@ -221,7 +241,7 @@ class NativeScif:
         # payload streams at the send-recv (ring buffer) rate
         yield self.sim.timeout(wire + len(payload) / self.costs.sendrecv_bandwidth)
         yield self.sim.timeout(self.costs.card_isr)
-        ep.peer.enqueue_rx(payload.copy())
+        ep.peer.enqueue_rx(payload)
         ep.peer.bytes_received += len(payload)
         # flow-control ack returns
         yield self.sim.timeout(wire + self.costs.completion)

@@ -85,6 +85,8 @@ class Endpoint:
     # receive queue (pure state; timing is charged by the API layer)
     # ------------------------------------------------------------------
     def enqueue_rx(self, data: np.ndarray) -> None:
+        """Queue one message.  The queue takes ``data`` over: the sender
+        hands in a private snapshot and keeps no reference to it."""
         if len(data):
             self._rx.append(data)
             self.rx_bytes += len(data)
@@ -92,8 +94,15 @@ class Endpoint:
         self.poll_wait.wake_all()
 
     def dequeue_rx(self, nbytes: int) -> np.ndarray:
-        """Pop up to ``nbytes`` from the receive queue."""
+        """Pop up to ``nbytes`` from the receive queue.
+
+        A queued array that exactly covers the take is handed over whole,
+        without a copy; any other take is copied out chunk by chunk.
+        """
         take = min(nbytes, self.rx_bytes)
+        if take and len(self._rx[0]) == take:
+            self.rx_bytes -= take
+            return self._rx.popleft()
         out = np.empty(take, dtype=np.uint8)
         off = 0
         while off < take:

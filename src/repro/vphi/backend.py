@@ -531,14 +531,20 @@ class VPhiBackend:
     # ------------------------------------------------------------------
     # guest buffer access (zero copy: descriptors are guest-physical)
     # ------------------------------------------------------------------
-    def out_payload(self, elem: VirtqueueElement) -> np.ndarray:
-        """Gather the guest->host bulk payload riding the chain."""
+    def out_payload(self, elem: VirtqueueElement) -> list[np.ndarray]:
+        """The guest->host bulk payload riding the chain, as views of the
+        guest's bounce chunks, in order.
+
+        The views alias guest RAM, so they must be consumed before any
+        simulated time passes: ``NativeScif.send`` snapshots them before
+        its first yield, after which the guest may free and reuse the
+        frames.
+        """
         # elem.out[0] is the serialized request header; data follows.
-        parts = []
-        for desc in elem.out[1:]:
-            sg = self.vm.gpa_sg(desc.addr, desc.len)
-            parts.extend(e.mem.read(e.paddr, e.nbytes) for e in sg)
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)
+        return [view
+                for desc in elem.out[1:]
+                for e in self.vm.gpa_sg(desc.addr, desc.len)
+                for _, view in e.mem.iter_views(e.paddr, e.nbytes)]
 
     def scatter_in(self, elem: VirtqueueElement, data: np.ndarray) -> int:
         """Scatter a host->guest payload into the chain's in descriptors."""

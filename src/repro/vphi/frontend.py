@@ -7,10 +7,19 @@ duties, the frontend driver multiplexes requests and orchestrates the
 user space threads or processes that are waiting for a response from the
 coprocessor."
 
-Per request it: copies user data into kmalloc'd bounce chunks (the *only*
-copies on the whole path, §III/Fig 3 steps 3i/3ii), posts the chunk
-references on the virtio ring, kicks the backend, and parks the caller on
-the configured wait scheme until the completion interrupt.
+Per request it: copies user data into kmalloc'd bounce chunks, posts the
+chunk references on the virtio ring, kicks the backend, and parks the
+caller on the configured wait scheme until the completion interrupt.
+
+Two kinds of copy are kept apart.  *Modelled* copies are the paper's:
+the user<->kernel copies into and out of the bounce chunks (§III/Fig 3
+steps 3i/3ii), the only copies on the whole path, each charged
+simulated time at host memcpy bandwidth.  *Host* copies are the
+simulator's own bookkeeping and are charged nothing: the backend reads
+the chunks through views of guest RAM, and ``NativeScif.send`` takes one
+snapshot of the message before any simulated time passes, so a guest
+``scif_send`` costs the host two copies per byte (the modelled copy-in
+and that snapshot), and the card receives the snapshot itself.
 
 Requests are described by the :mod:`~repro.vphi.ops` registry (marshal
 rules, trace keys).  Single, batched, segmented and replayed submits all

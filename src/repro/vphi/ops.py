@@ -534,6 +534,7 @@ def _accept(backend, req, elem, a):
 def _send(backend, req, elem, a):
     from ..scif import SendFlag
 
+    # views of the guest's bounce chunks: send snapshots them on entry
     payload = backend.out_payload(elem)
     n = yield from backend.lib.send(
         backend.endpoint(req.handle), payload, SendFlag(a["flags"])

@@ -197,6 +197,39 @@ class TestNested:
         assert root.read(leaf.host_base, 1).tobytes() == b"Z"
         assert leaf.root() is root
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_reused_frame_never_reads_previous_owner(self, depth):
+        """A nested memory holds no storage of its own: its free poisons
+        the root bytes the range resolves to, so the next owner of a
+        guest frame reads poison, not the old contents."""
+        mem = PhysicalMemory(64 * MB, "host")
+        for level in range(depth):
+            mem = mem.carve(16 * MB >> level, name=f"level{level}")
+        ext = mem.alloc(PAGE_SIZE)
+        ext.write(b"secret-data!")
+        ext.free()
+        reused = mem.alloc(PAGE_SIZE)
+        assert reused.addr == ext.addr
+        assert reused.read(0, 12).tobytes() == bytes([POISON_BYTE]) * 12
+
+    def test_freeing_a_never_written_extent_touches_no_storage(self):
+        """A never-written range has nothing to leak: freeing it neither
+        materializes a chunk nor writes into one that exists."""
+        host = PhysicalMemory(64 * MB, "host")
+        guest = host.carve(8 * MB, name="vm0-ram")
+        blank = guest.alloc(3 * CHUNK_SIZE)
+        blank.free()
+        assert host._chunks == {}
+        # a neighbour's write materializes the chunk the next extent
+        # shares; that extent's own zero bytes stay zero when it is freed
+        written = guest.alloc(PAGE_SIZE)
+        written.write(b"x")
+        blank = guest.alloc(PAGE_SIZE)
+        blank.free()
+        assert len(host._chunks) == 1
+        assert not guest.read(blank.addr, PAGE_SIZE).any()
+        assert guest.read(written.addr, 1).tobytes() == b"x"
+
     def test_accounting(self):
         mem = PhysicalMemory(MB)
         assert mem.bytes_free == MB

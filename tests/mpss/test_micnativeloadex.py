@@ -1,10 +1,13 @@
 """micnativeloadex + micinfo: the native-mode launch path (§IV-C)."""
 
+import zlib
+
 import pytest
 
 from repro import Machine
 from repro.coi import start_coi_daemon
 from repro.mpss import MicToolError, micinfo, micnativeloadex
+from repro.mpss.binaries import MICBinary
 from repro.workloads import DGEMM_BINARY
 from repro.workloads.microbench import ClientContext
 
@@ -22,6 +25,22 @@ def launch(machine, ctx, argv, **kw):
     p = ctx.spawn(micnativeloadex(machine, ctx, DGEMM_BINARY, argv=argv, **kw))
     machine.run()
     return p.value
+
+
+def test_binary_checksum_draws_the_image_once():
+    """Every launch verifies the image against the binary's checksum; the
+    1 MiB image is drawn for that once per binary, while content() still
+    hands each caller a fresh writable copy."""
+    binary = MICBinary(name="crc-probe", size=MB, entry=None)
+    draw = binary.content
+    draws = []
+    binary.content = lambda: draws.append(1) or draw()
+    expected = zlib.crc32(draw())
+    assert binary.checksum() == binary.checksum() == expected
+    assert len(draws) == 1
+    mine, theirs = draw(), draw()
+    mine[0] ^= 0xFF
+    assert theirs[0] != mine[0]
 
 
 def test_native_launch_runs_dgemm_and_verifies(machine):

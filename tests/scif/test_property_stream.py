@@ -25,7 +25,11 @@ def machine():
 )
 def test_stream_reassembles_identically(machine, send_sizes, recv_cuts, seed):
     """The receiver's chunking is independent of the sender's: any split
-    of the same total yields the same byte sequence."""
+    of the same total yields the same byte sequence.
+
+    Bytes in flight are immune to later writes: the sender scribbles over
+    its buffer as soon as each send returns, and the receiver over what
+    each recv handed it, and the stream still equals a kept copy."""
     port = next(_ports)
     total = sum(send_sizes)
     # build receiver cuts covering exactly `total`
@@ -41,6 +45,7 @@ def test_stream_reassembles_identically(machine, send_sizes, recv_cuts, seed):
 
     rng = np.random.default_rng(seed)
     payload = rng.integers(0, 256, size=total, dtype=np.uint8)
+    expected = payload.copy()
     slib = machine.scif(machine.card_process(f"s{port}"))
     clib = machine.scif(machine.host_process(f"c{port}"))
 
@@ -52,7 +57,8 @@ def test_stream_reassembles_identically(machine, send_sizes, recv_cuts, seed):
         parts = []
         for cut in cuts:
             data = yield from slib.recv(conn, cut)
-            parts.append(data)
+            parts.append(data.copy())
+            data ^= 0xFF
         yield from slib.close(conn)
         yield from slib.close(ep)
         return np.concatenate(parts)
@@ -63,6 +69,7 @@ def test_stream_reassembles_identically(machine, send_sizes, recv_cuts, seed):
         off = 0
         for size in send_sizes:
             yield from clib.send(ep, payload[off : off + size])
+            payload[off : off + size] ^= 0xFF
             off += size
         return True
 
@@ -70,4 +77,4 @@ def test_stream_reassembles_identically(machine, send_sizes, recv_cuts, seed):
     c = machine.sim.spawn(client())
     machine.run()
     assert c.value is True
-    assert np.array_equal(s.value, payload)
+    assert np.array_equal(s.value, expected)

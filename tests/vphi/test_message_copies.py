@@ -1,0 +1,159 @@
+"""The SCIF message path's copy rule, natively and through vPHI.
+
+A message is copied on the host at two points only: the guest's
+modelled copy into kmalloc bounce chunks (vPHI only), and one snapshot
+when ``NativeScif.send`` is entered.  The backend (and the COI daemon's
+buffer read) hands ``send`` views of simulated memory and the receiver
+gets the queued snapshot itself, so no view may outlive the snapshot:
+once ``send`` is entered, the guest may free and reuse the frames
+without touching the bytes in flight.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro import Machine
+from repro.coi import COIConnection, start_coi_daemon
+from repro.vphi import VPhiConfig
+from repro.workloads.microbench import ClientContext
+
+PORT = 8900
+KB = 1 << 10
+MB = 1 << 20
+
+
+def card_receiver(machine, port, sizes, go=None):
+    """Card server: accept one connection, then (once ``go`` fires, when
+    given) receive one message of each size in order."""
+    slib = machine.scif(machine.card_process(f"rx{port}"))
+
+    def server():
+        ep = yield from slib.open()
+        yield from slib.bind(ep, port)
+        yield from slib.listen(ep)
+        conn, _ = yield from slib.accept(ep)
+        if go is not None:
+            yield go
+        got = []
+        for n in sizes:
+            data = yield from slib.recv(conn, n)
+            got.append(data)
+        return got
+
+    return machine.sim.spawn(server())
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["blocking", "pooled"])
+def test_reused_bounce_frames_never_reach_a_message_in_flight(workers):
+    """Two equal-size messages, each over several bounce chunks, both sent
+    before the card peer receives either: the second one's copy-in lands
+    in the first one's freed frames, and both still arrive intact."""
+    machine = Machine(cards=1).boot()
+    vm = machine.create_vm("vm0", ram_bytes=256 * MB, vphi_config=VPhiConfig(
+        chunk_size=64 * KB, backend_workers=workers))
+    size = 160 * KB  # three bounce chunks
+    rng = np.random.default_rng(21)
+    first = rng.integers(0, 256, size, dtype=np.uint8)
+    second = rng.integers(0, 256, size, dtype=np.uint8)
+    sent = machine.sim.event()
+    server = card_receiver(machine, PORT, [size, size], go=sent)
+    frames = []
+    backend = vm.vphi.backend
+    gather = backend.out_payload
+
+    def out_payload(elem):
+        frames.append([(d.addr, d.len) for d in elem.out[1:]])
+        return gather(elem)
+
+    backend.out_payload = out_payload
+    glib = vm.vphi.libscif(vm.guest_process("tx"))
+
+    def client():
+        ep = yield from glib.open()
+        yield from glib.connect(ep, (machine.card_node_id(0), PORT))
+        yield from glib.send(ep, first)
+        yield from glib.send(ep, second)
+        sent.succeed()
+
+    vm.spawn_guest(client())
+    machine.run()
+    assert len(frames) == 2 and len(frames[0]) >= 2
+    assert frames[1] == frames[0]  # the second message reused the frames
+    got_first, got_second = server.value
+    assert np.array_equal(got_first, first)
+    assert np.array_equal(got_second, second)
+
+
+def _peak_copies(machine, client_proc, payload, port):
+    """Run one send of ``payload`` to a card receiver under tracemalloc and
+    return the peak traced allocation in payloads."""
+    server = card_receiver(machine, port, [len(payload)])
+    client_proc()
+    tracemalloc.start()
+    try:
+        machine.run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(server.value[0], payload)
+    return peak / len(payload)
+
+
+def test_native_message_takes_one_host_copy():
+    machine = Machine(cards=1).boot()
+    payload = np.random.default_rng(3).integers(0, 256, 32 * MB, dtype=np.uint8)
+    lib = machine.scif(machine.host_process("tx"))
+
+    def client():
+        ep = yield from lib.open()
+        yield from lib.connect(ep, (machine.card_node_id(0), PORT + 1))
+        yield from lib.send(ep, payload)
+
+    copies = _peak_copies(machine, lambda: machine.sim.spawn(client()),
+                          payload, PORT + 1)
+    assert copies <= 1.1
+
+
+def test_guest_message_takes_two_host_copies():
+    """The guest's copy-in to bounce chunks plus the snapshot at send."""
+    machine = Machine(cards=1).boot()
+    vm = machine.create_vm("vm0", ram_bytes=256 * MB)
+    payload = np.random.default_rng(4).integers(0, 256, 32 * MB, dtype=np.uint8)
+    glib = vm.vphi.libscif(vm.guest_process("tx"))
+
+    def client():
+        ep = yield from glib.open()
+        yield from glib.connect(ep, (machine.card_node_id(0), PORT + 2))
+        yield from glib.send(ep, payload)
+
+    copies = _peak_copies(machine, lambda: vm.spawn_guest(client()),
+                          payload, PORT + 2)
+    assert copies <= 2.1
+
+
+def test_coi_buffer_read_takes_one_host_copy():
+    """The daemon hands ``send`` views of the card buffer, not a copy."""
+    machine = Machine(cards=1).boot()
+    start_coi_daemon(machine, card=0)
+    ctx = ClientContext.native(machine)
+    payload = np.random.default_rng(5).integers(0, 256, 32 * MB, dtype=np.uint8)
+    out = {}
+
+    def client():
+        conn = COIConnection(ctx.lib, machine.card_node_id(0))
+        yield from conn.connect()
+        buf = yield from conn.buffer_create(len(payload))
+        yield from buf.write(payload)
+        tracemalloc.start()
+        try:
+            out["data"] = yield from buf.read()
+            out["peak"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ctx.spawn(client())
+    machine.run()
+    assert np.array_equal(out["data"], payload)
+    assert out["peak"] / len(payload) <= 1.1
