@@ -7,6 +7,19 @@ until written, while bulk copies still run at numpy speed (the guides'
 "views, not copies" rule: all internal transfers slice chunk arrays
 directly).
 
+A never-written chunk reads as zeros, and zeros cost nothing to hold:
+
+* ``write`` leaves a never-written chunk unmaterialized when the bytes
+  it would receive are all zero;
+* reads (``read``, ``read_into``, ``iter_views``) serve a never-written
+  chunk from one shared, read-only zero chunk, so a stray write through
+  such a view raises instead of corrupting memory;
+* ``copy`` (the DMA move) from a never-written source moves nothing into
+  a never-written destination.
+
+Reads never materialize storage; only ``write``, ``fill`` and the
+destination of a ``copy`` from written memory do.
+
 A :class:`PhysicalMemory` can be *nested*: a VM's RAM is carved out of an
 extent of host RAM, so guest-physical address ``g`` **is** host-physical
 ``base + g`` and the QEMU backend's zero-copy access to guest buffers falls
@@ -32,6 +45,21 @@ CHUNK_SIZE = 1 << 20  # 1 MiB
 #: (the paper's pinning discussion: an RMA against a swapped-out page reads
 #: whatever now occupies the frame).
 POISON_BYTE = 0xDD
+
+#: What every never-written chunk reads as: shared by all memories and
+#: read-only, so a view of it can never be written through.
+_ZERO_CHUNK = np.zeros(CHUNK_SIZE, dtype=np.uint8)
+_ZERO_CHUNK.flags.writeable = False
+
+
+def holds_nonzero(piece: np.ndarray) -> bool:
+    """Whether a non-empty uint8 array holds a non-zero byte.
+
+    The end bytes decide most non-zero pieces without a scan; the scan is
+    ``max()``, which numpy runs about four times faster than ``any()``
+    over uint8.
+    """
+    return bool(piece[0] or piece[-1] or piece.max())
 
 
 class PhysExtent:
@@ -169,9 +197,7 @@ class PhysicalMemory:
         holds no storage of its own, so the range is resolved to the root
         memory first.  Only materialized ranges holding a non-zero byte
         are poisoned: a never-written range reads as zeros, has nothing
-        to leak, and stays untouched, so freeing it costs no RSS.  (The
-        test is ``max()``, which numpy runs about four times faster than
-        ``any()`` over uint8.)
+        to leak, and stays untouched, so freeing it costs no RSS.
         """
         mem = self
         if self.parent is not None:
@@ -183,7 +209,7 @@ class PhysicalMemory:
             if chunk is not None:
                 base = ci * CHUNK_SIZE
                 view = chunk[max(addr - base, 0) : min(end - base, CHUNK_SIZE)]
-                if view.max():
+                if holds_nonzero(view):
                     view[:] = POISON_BYTE
 
     def _insert_hole(self, start: int, end: int) -> None:
@@ -216,20 +242,17 @@ class PhysicalMemory:
                 f"outside size {self.size:#x}"
             )
 
-    def _chunk(self, index: int) -> np.ndarray:
-        chunk = self._chunks.get(index)
-        if chunk is None:
-            chunk = self._chunks[index] = np.zeros(CHUNK_SIZE, dtype=np.uint8)
-        return chunk
-
     def _spans(self, addr: int, nbytes: int) -> Iterator[tuple[np.ndarray, int, int, int]]:
-        """Yield ``(chunk, chunk_lo, chunk_hi, dest_off)`` covering the range."""
+        """Yield ``(chunk, chunk_lo, chunk_hi, dest_off)`` covering the range.
+
+        A never-written chunk is yielded as the shared read-only zero chunk.
+        """
+        chunks = self._chunks
         off = 0
         while off < nbytes:
-            a = addr + off
-            ci, co = divmod(a, CHUNK_SIZE)
+            ci, co = divmod(addr + off, CHUNK_SIZE)
             n = min(CHUNK_SIZE - co, nbytes - off)
-            yield self._chunk(ci), co, co + n, off
+            yield chunks.get(ci, _ZERO_CHUNK), co, co + n, off
             off += n
 
     def _resolve(self, addr: int) -> tuple["PhysicalMemory", int]:
@@ -258,7 +281,7 @@ class PhysicalMemory:
             mem, addr = self._resolve(addr)
         ci, co = divmod(addr, CHUNK_SIZE)
         if co + nbytes <= CHUNK_SIZE:
-            return mem._chunk(ci)[co : co + nbytes].copy()
+            return mem._chunks.get(ci, _ZERO_CHUNK)[co : co + nbytes].copy()
         out = np.empty(nbytes, dtype=np.uint8)
         for chunk, lo, hi, doff in mem._spans(addr, nbytes):
             out[doff : doff + (hi - lo)] = chunk[lo:hi]
@@ -273,7 +296,7 @@ class PhysicalMemory:
             mem, addr = self._resolve(addr)
         ci, co = divmod(addr, CHUNK_SIZE)
         if co + nbytes <= CHUNK_SIZE:
-            out[:] = mem._chunk(ci)[co : co + nbytes]
+            out[:] = mem._chunks.get(ci, _ZERO_CHUNK)[co : co + nbytes]
             return
         for chunk, lo, hi, doff in mem._spans(addr, nbytes):
             out[doff : doff + (hi - lo)] = chunk[lo:hi]
@@ -282,7 +305,8 @@ class PhysicalMemory:
         """Yield ``(offset, chunk_view)`` pairs covering the range.
 
         The views alias live backing storage — callers must consume (copy)
-        each one before the next simulated write can touch the range.
+        each one before the next simulated write can touch the range.  A
+        never-written chunk's view is of the shared zero chunk, read-only.
         """
         self._bounds(addr, nbytes)
         mem = self
@@ -292,6 +316,8 @@ class PhysicalMemory:
             yield doff, chunk[lo:hi]
 
     def write(self, addr: int, data: np.ndarray | bytes) -> None:
+        """Store ``data`` at ``addr``.  A never-written chunk stays
+        unmaterialized when its share of ``data`` is all zero."""
         if isinstance(data, (bytes, bytearray, memoryview)):
             data = np.frombuffer(bytes(data), dtype=np.uint8)
         if data.dtype != np.uint8:
@@ -304,27 +330,31 @@ class PhysicalMemory:
         chunks = mem._chunks
         off = 0
         while off < n:
-            a = addr + off
-            ci, co = divmod(a, CHUNK_SIZE)
+            ci, co = divmod(addr + off, CHUNK_SIZE)
             take = min(CHUNK_SIZE - co, n - off)
+            piece = data[off : off + take]
+            off += take
             chunk = chunks.get(ci)
             if chunk is None:
-                if co == 0 and take == CHUNK_SIZE:
+                if not holds_nonzero(piece):
+                    continue  # the never-written chunk already reads as this
+                if take == CHUNK_SIZE:
                     # Whole-chunk overwrite: materialize from the payload
                     # directly instead of zero-filling first.
-                    chunks[ci] = data[off : off + CHUNK_SIZE].copy()
-                    off += take
+                    chunks[ci] = piece.copy()
                     continue
                 chunk = chunks[ci] = np.zeros(CHUNK_SIZE, dtype=np.uint8)
-            chunk[co : co + take] = data[off : off + take]
-            off += take
+            chunk[co : co + take] = piece
 
     def fill(self, addr: int, nbytes: int, byte: int) -> None:
         self._bounds(addr, nbytes)
         mem = self
         if self.parent is not None:
             mem, addr = self._resolve(addr)
-        for chunk, lo, hi, _ in mem._spans(addr, nbytes):
+        chunks = mem._chunks
+        for chunk, lo, hi, off in mem._spans(addr, nbytes):
+            if chunk is _ZERO_CHUNK:
+                chunk = chunks[(addr + off) // CHUNK_SIZE] = np.zeros(CHUNK_SIZE, dtype=np.uint8)
             chunk[lo:hi] = byte
 
     def copy_within(self, dst: int, src: int, nbytes: int) -> None:
@@ -342,7 +372,9 @@ class PhysicalMemory:
         """Copy between two physical memories (the DMA engine's data move).
 
         Streams chunk views in lockstep — one copy per span instead of a
-        full read into a temporary followed by a full write.  Overlapping
+        full read into a temporary followed by a full write.  A
+        never-written source span moves nothing into a never-written
+        destination and writes zeros into a materialized one.  Overlapping
         same-root ranges fall back to the copy-via-temporary path so the
         memmove semantics are preserved.
         """
@@ -353,22 +385,25 @@ class PhysicalMemory:
         if smem is dmem and s < d + nbytes and d < s + nbytes:
             dst_mem.write(dst, src_mem.read(src, nbytes))
             return
-        dchunks = dmem._chunks
+        schunks, dchunks = smem._chunks, dmem._chunks
         off = 0
         while off < nbytes:
             sci, sco = divmod(s + off, CHUNK_SIZE)
             dci, dco = divmod(d + off, CHUNK_SIZE)
             take = min(CHUNK_SIZE - sco, CHUNK_SIZE - dco, nbytes - off)
-            schunk = smem._chunk(sci)
+            off += take
+            schunk = schunks.get(sci)
             dchunk = dchunks.get(dci)
+            if schunk is None:
+                if dchunk is not None:
+                    dchunk[dco : dco + take] = 0
+                continue
             if dchunk is None:
-                if dco == 0 and take == CHUNK_SIZE:
-                    dchunks[dci] = schunk[sco : sco + CHUNK_SIZE].copy()
-                    off += take
+                if take == CHUNK_SIZE:
+                    dchunks[dci] = schunk.copy()
                     continue
                 dchunk = dchunks[dci] = np.zeros(CHUNK_SIZE, dtype=np.uint8)
             dchunk[dco : dco + take] = schunk[sco : sco + take]
-            off += take
 
     def carve(self, nbytes: int, name: str = "", label: str = "") -> "PhysicalMemory":
         """Allocate an extent and wrap it as a nested PhysicalMemory.

@@ -15,7 +15,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..analysis.calibration import HOST, SCIF_COSTS, HostParams, ScifCosts
-from ..mem import Buffer, PAGE_SIZE, VMA, VMAFlag, is_page_aligned
+from ..mem import Buffer, CHUNK_SIZE, PAGE_SIZE, VMA, VMAFlag, is_page_aligned
+from ..mem.physical import holds_nonzero
 from ..oscore import OSProcess
 from ..sim import ChannelClosed, Channel, Simulator
 from .constants import MapFlag, PollEvent, Prot, RecvFlag, RmaFlag, SendFlag
@@ -68,11 +69,27 @@ def as_bytes_array(data: DataLike) -> np.ndarray:
 
 def _snapshot(data: DataLike) -> np.ndarray:
     """A fresh, writable uint8 copy of a message payload: the one host
-    copy a SCIF message takes.  A list is gathered straight into the
-    copy, without an intermediate."""
+    copy a SCIF message takes.
+
+    The copy starts as ``np.zeros`` (calloc, so pages never written cost
+    no RSS) and takes in only the pieces that hold a non-zero byte: each
+    view of a list payload, or each ``CHUNK_SIZE`` slice of a buffer.  An
+    all-zero message (a never-written guest buffer, or a zero blob) is
+    then scanned but never copied.
+    """
     if isinstance(data, list):
-        return as_bytes_array(data)
-    return as_bytes_array(data).copy()
+        pieces = data
+    else:
+        flat = as_bytes_array(data)
+        pieces = [flat[i : i + CHUNK_SIZE] for i in range(0, len(flat), CHUNK_SIZE)]
+    out = np.zeros(sum(map(len, pieces)), dtype=np.uint8)
+    off = 0
+    for piece in pieces:
+        n = len(piece)
+        if n and holds_nonzero(piece):
+            out[off : off + n] = piece
+        off += n
+    return out
 
 
 class NativeScif:

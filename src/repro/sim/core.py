@@ -247,7 +247,8 @@ class Process(Event):
     """A coroutine process.  Also an event: it fires when the process ends,
     with the generator's return value (or its unhandled exception)."""
 
-    __slots__ = ("gen", "domain", "_waiting_on", "_resume_cb", "_started", "_pending_throw")
+    __slots__ = ("gen", "domain", "_waiting_on", "_resume_cb", "_started", "_pending_throw",
+                 "_observed")
 
     def __init__(
         self,
@@ -269,6 +270,8 @@ class Process(Event):
         #: exception queued for delivery at the next resumption (interrupt).
         self._pending_throw: Optional[BaseException] = None
         self._resume_cb = self._on_event  # stable bound method for discard
+        #: a waiter was registered, so it owns any crash (see _add_callback).
+        self._observed = False
         sim._call_soon(self._start)
 
     # -- public API ---------------------------------------------------------
@@ -381,7 +384,7 @@ class Process(Event):
     def _add_callback(self, cb: Callable[["Event"], None]) -> None:
         # Registering a waiter on a process means its outcome is observed;
         # the waiter owns any exception, so run() will not re-raise it.
-        self.sim._observed_crash_events.add(id(self))
+        self._observed = True
         super()._add_callback(cb)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -466,8 +469,8 @@ class Simulator:
         self.now: float = 0.0
         self._queue = CalendarQueue()
         self._current: Optional[Process] = None
+        #: crashes not yet raised by run() nor known to be observed.
         self._crashes: list[tuple[Process, BaseException]] = []
-        self._observed_crash_events: set[int] = set()
 
     # -- factory helpers ------------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -513,7 +516,8 @@ class Simulator:
 
     # -- crash bookkeeping ------------------------------------------------
     def _note_crash(self, proc: Process, exc: BaseException) -> None:
-        self._crashes.append((proc, exc))
+        if not proc._observed:
+            self._crashes.append((proc, exc))
 
     # -- main loop ----------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
@@ -555,9 +559,12 @@ class Simulator:
         return self._queue.peek()
 
     def raise_pending_crash(self) -> None:
-        """Re-raise the first process crash that no other process observed."""
-        for proc, exc in self._crashes:
-            if id(proc) in self._observed_crash_events:
-                continue
-            self._observed_crash_events.add(id(proc))
-            raise SimError(f"process {proc.name!r} died: {exc!r}") from exc
+        """Re-raise the first process crash that no other process observed.
+
+        Each crash leaves the list once raised or found observed.
+        """
+        crashes = self._crashes
+        while crashes:
+            proc, exc = crashes.pop(0)
+            if not proc._observed:
+                raise SimError(f"process {proc.name!r} died: {exc!r}") from exc

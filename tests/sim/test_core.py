@@ -1,5 +1,7 @@
 """Unit tests for the DES kernel: events, processes, time, domains."""
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -196,6 +198,61 @@ def test_unobserved_crash_surfaces_at_run():
     sim.spawn(bad())
     with pytest.raises(SimError, match="died"):
         sim.run()
+
+
+def test_crash_at_a_reused_address_still_surfaces():
+    """Whether a crash was observed is a property of the process, not of
+    its address: a process that reuses the address of an earlier, joined
+    and collected process still has its crash raised by run()."""
+    sim = Simulator()
+
+    def quick():
+        yield sim.timeout(0.1)
+
+    def joiner(proc):
+        yield proc
+
+    joined = sim.spawn(quick())
+    sim.spawn(joiner(joined))
+    sim.run()
+    old_id = id(joined)
+    del joined
+    gc.collect()
+
+    def body(armed):
+        yield sim.timeout(0.1)
+        if armed:
+            raise RuntimeError("crash at a reused address")
+
+    procs = []
+    for _ in range(1000):
+        armed = []
+        procs.append(sim.spawn(body(armed)))
+        if id(procs[-1]) == old_id:
+            armed.append(True)
+            break
+    else:
+        pytest.skip("the interpreter reused no address within 1000 processes")
+    with pytest.raises(SimError, match="reused address"):
+        sim.run()
+    assert not procs[-1].ok
+    assert sim._crashes == []  # raised once, then dropped
+
+
+def test_observed_crash_is_not_kept():
+    sim = Simulator()
+
+    def child():
+        yield sim.timeout(0.1)
+        raise ValueError("joined")
+
+    def parent():
+        with pytest.raises(ValueError):
+            yield sim.spawn(child())
+
+    sim.spawn(parent())
+    sim.run()
+    assert sim._crashes == []
 
 
 def test_spawn_requires_generator():

@@ -6,7 +6,8 @@ when ``NativeScif.send`` is entered.  The backend (and the COI daemon's
 buffer read) hands ``send`` views of simulated memory and the receiver
 gets the queued snapshot itself, so no view may outlive the snapshot:
 once ``send`` is entered, the guest may free and reuse the frames
-without touching the bytes in flight.
+without touching the bytes in flight.  At both points a piece of zeros
+is scanned, not copied, and never-written memory stays unmaterialized.
 """
 
 import tracemalloc
@@ -16,6 +17,7 @@ import pytest
 
 from repro import Machine
 from repro.coi import COIConnection, start_coi_daemon
+from repro.mem import CHUNK_SIZE
 from repro.vphi import VPhiConfig
 from repro.workloads.microbench import ClientContext
 
@@ -84,6 +86,71 @@ def test_reused_bounce_frames_never_reach_a_message_in_flight(workers):
     got_first, got_second = server.value
     assert np.array_equal(got_first, first)
     assert np.array_equal(got_second, second)
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["blocking", "pooled"])
+def test_all_zero_guest_message_materializes_no_host_memory(workers):
+    """Zeros cost nothing on the way through: the guest's copy-in writes
+    no bounce chunk, the backend's views are of the shared zero chunk,
+    and the snapshot copies nothing in."""
+    machine = Machine(cards=1).boot()
+    vm = machine.create_vm("vm0", ram_bytes=256 * MB,
+                           vphi_config=VPhiConfig(backend_workers=workers))
+    host = vm.ram.root()
+    size = 32 * MB
+    server = card_receiver(machine, PORT + 3, [size])
+    glib = vm.vphi.libscif(vm.guest_process("tx"))
+    connected = {}
+
+    def connect():
+        ep = yield from glib.open()
+        yield from glib.connect(ep, (machine.card_node_id(0), PORT + 3))
+        connected["ep"] = ep
+
+    def send():
+        yield from glib.send(connected["ep"], np.zeros(size, dtype=np.uint8))
+
+    vm.spawn_guest(connect())
+    machine.run()
+    before = dict(host._chunks)
+    vm.spawn_guest(send())
+    machine.run()
+    assert host._chunks == before
+    (got,) = server.value
+    assert len(got) == size and not got.any()
+
+
+@pytest.mark.parametrize("side", ["native", "blocking", "pooled"])
+def test_sparse_message_arrives_byte_exact(side):
+    """Only the pieces that hold a non-zero byte are copied; bytes on
+    both sides of a chunk edge and the last byte all arrive."""
+    machine = Machine(cards=1).boot()
+    size = 32 * MB
+    where = [CHUNK_SIZE - 1, CHUNK_SIZE, size - 1]
+    payload = np.zeros(size, dtype=np.uint8)
+    payload[where] = [7, 8, 9]
+    port = PORT + 4
+    server = card_receiver(machine, port, [size])
+    if side == "native":
+        lib = machine.scif(machine.host_process("tx"))
+        spawn = machine.sim.spawn
+    else:
+        vm = machine.create_vm("vm0", ram_bytes=256 * MB, vphi_config=VPhiConfig(
+            backend_workers=0 if side == "blocking" else 2))
+        lib = vm.vphi.libscif(vm.guest_process("tx"))
+        spawn = vm.spawn_guest
+
+    def client():
+        ep = yield from lib.open()
+        yield from lib.connect(ep, (machine.card_node_id(0), port))
+        yield from lib.send(ep, payload)
+
+    spawn(client())
+    machine.run()
+    (got,) = server.value
+    assert len(got) == size
+    assert np.flatnonzero(got).tolist() == where
+    assert got[where].tolist() == [7, 8, 9]
 
 
 def _peak_copies(machine, client_proc, payload, port):
