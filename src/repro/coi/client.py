@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..mem import zero_bytes
 from .protocol import COI_DAEMON_PORT, recv_msg, send_msg
 
 __all__ = ["COIError", "COIConnection", "COIProcessHandle", "COIBufferHandle"]
@@ -117,11 +118,12 @@ class COIConnection:
             "argv": list(argv),
             "env": dict(env or {}),
         })
-        # ship the executable, then the dependency blob
-        yield from lib.send(ep, binary.content())
+        # ship the executable, then the dependency blob (zeros that
+        # occupy no host memory)
+        yield from lib.send(ep, binary.image())
         dep_bytes = binary.total_transfer_bytes - binary.size
         if dep_bytes > 0:
-            yield from lib.send(ep, np.zeros(dep_bytes, dtype=np.uint8))
+            yield from lib.send(ep, zero_bytes(dep_bytes))
         reply = yield from recv_msg(lib, ep)
         if not reply.get("ok"):
             raise COIError(reply.get("error"))

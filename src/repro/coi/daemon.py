@@ -12,6 +12,13 @@ services:
 * ``buffer_create`` / ``buffer_write`` / ``buffer_read`` — GDDR-resident
   COI buffers (used by offload mode);
 * ``run_function`` — offload-mode RPC into a created process.
+
+A request naming an unknown op or buffer, a range outside its buffer,
+or a buffer size card memory cannot hold gets an ``{"ok": False}`` reply
+instead of killing the connection handler, and leaves the stream
+framed: a refused write still receives its payload, and a refused read
+still sends its ``nbytes`` (as zeros that cost nothing) before the
+reply.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import itertools
 import zlib
 from typing import Optional
 
+from ..mem import MemError, zero_bytes
 from ..mpss.binaries import lookup_binary
 from ..scif import NativeScif, ScifError
 from .protocol import COI_DAEMON_PORT, recv_msg, recv_raw, send_msg
@@ -77,10 +85,10 @@ class CoiDaemon:
         try:
             while True:
                 msg = yield from recv_msg(lib, conn)
-                handler = getattr(self, f"_op_{msg['type']}", None)
+                op = msg.get("type") if isinstance(msg, dict) else None
+                handler = getattr(self, f"_op_{op}", None)
                 if handler is None:
-                    yield from send_msg(lib, conn, {"ok": False,
-                                                    "error": f"bad op {msg['type']}"})
+                    yield from send_msg(lib, conn, {"ok": False, "error": f"bad op {op!r}"})
                     continue
                 reply = yield from handler(msg, conn)
                 yield from send_msg(lib, conn, reply)
@@ -133,31 +141,56 @@ class CoiDaemon:
         return {"ok": True, "exit": record.exit_record}
 
     def _op_buffer_create(self, msg, conn):
-        nbytes = msg["nbytes"]
-        ext = self.uos.phys.alloc(nbytes, label="coi-buffer")
+        try:
+            ext = self.uos.phys.alloc(msg["nbytes"], label="coi-buffer")
+        except MemError as err:
+            yield self.sim.timeout(0)
+            return {"ok": False, "error": str(err)}
         buf_id = next(self._buffer_ids)
         self.buffers[buf_id] = (ext,)
         yield self.sim.timeout(0)
         return {"ok": True, "buffer": buf_id}
 
+    def _buffer_error(self, buf_id, off: int = 0, nbytes: int = 0) -> Optional[str]:
+        """Why buffer ``buf_id`` and its range ``[off, off + nbytes)``
+        cannot be served, or None when they can."""
+        if not isinstance(buf_id, int) or buf_id not in self.buffers:
+            return f"no buffer {buf_id!r}"
+        size = self.buffers[buf_id][0].nbytes
+        if off < 0 or nbytes < 0 or off + nbytes > size:
+            return f"range [{off}, {off + nbytes}) outside buffer {buf_id} of {size} bytes"
+        return None
+
     def _op_buffer_write(self, msg, conn):
+        nbytes = msg["nbytes"]
+        error = self._buffer_error(msg.get("buffer"), msg.get("offset", 0), nbytes)
+        data = yield from recv_raw(self.lib, conn, max(nbytes, 0))
+        if error:
+            return {"ok": False, "error": error}
         (ext,) = self.buffers[msg["buffer"]]
-        data = yield from recv_raw(self.lib, conn, msg["nbytes"])
         ext.write(data, off=msg.get("offset", 0))
         return {"ok": True}
 
     def _op_buffer_read(self, msg, conn):
+        nbytes = msg["nbytes"]
+        error = self._buffer_error(msg.get("buffer"), msg.get("offset", 0), nbytes)
+        if error:
+            # the client still receives nbytes before the reply
+            yield from self.lib.send(conn, zero_bytes(max(nbytes, 0)))
+            return {"ok": False, "error": error}
         (ext,) = self.buffers[msg["buffer"]]
         # views of card memory: send snapshots them on entry
-        views = [v for _, v in ext.iter_views(msg.get("offset", 0), msg["nbytes"])]
+        views = [v for _, v in ext.iter_views(msg.get("offset", 0), nbytes)]
         yield from self.lib.send(conn, views)
         return {"ok": True}
 
     def _op_buffer_destroy(self, msg, conn):
-        (ext,) = self.buffers.pop(msg["buffer"])
-        ext.free()
+        error = self._buffer_error(msg.get("buffer"))
+        if not error:
+            (ext,) = self.buffers.pop(msg["buffer"])
+            ext.free()
         yield self.sim.timeout(0)
-        return {"ok": True}
+        return {"ok": False, "error": error} if error else {"ok": True}
 
     # -- pipelines (ordered async queues with buffer-hazard tracking) ----
     def _mgr(self, conn) -> "PipelineManager":
@@ -209,7 +242,12 @@ class CoiDaemon:
         fn = lookup_offload_function(msg["function"])
         if fn is None:
             return {"ok": False, "error": f"no offload function {msg['function']!r}"}
-        buffers = [self.buffers[b][0] for b in msg.get("buffers", ())]
+        ids = msg.get("buffers", ())
+        for buf_id in ids:
+            error = self._buffer_error(buf_id)
+            if error:
+                return {"ok": False, "error": error}
+        buffers = [self.buffers[b][0] for b in ids]
         result = yield from fn(self.uos, buffers, msg.get("args", {}))
         return {"ok": True, "result": result}
 

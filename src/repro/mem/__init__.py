@@ -28,7 +28,7 @@ from .pages import (
     page_offset,
     pages_spanned,
 )
-from .physical import CHUNK_SIZE, POISON_BYTE, PhysExtent, PhysicalMemory
+from .physical import CHUNK_SIZE, POISON_BYTE, PhysExtent, PhysicalMemory, zero_bytes
 
 __all__ = [
     "AddressSpace",
@@ -58,4 +58,5 @@ __all__ = [
     "page_align_up",
     "page_offset",
     "pages_spanned",
+    "zero_bytes",
 ]

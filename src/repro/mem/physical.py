@@ -15,7 +15,10 @@ A never-written chunk reads as zeros, and zeros cost nothing to hold:
   chunk from one shared, read-only zero chunk, so a stray write through
   such a view raises instead of corrupting memory;
 * ``copy`` (the DMA move) from a never-written source moves nothing into
-  a never-written destination.
+  a never-written destination;
+* bytes whose memory *is* the zero chunk are known zeros and never
+  scanned: the views reads serve, and :func:`zero_bytes`, an ``n``-byte
+  zero payload that occupies no storage at all.
 
 Reads never materialize storage; only ``write``, ``fill`` and the
 destination of a ``copy`` from written memory do.
@@ -36,7 +39,7 @@ import numpy as np
 from .errors import BadAddress, MemError, OutOfMemory
 from .pages import PAGE_SIZE, page_align_up
 
-__all__ = ["PhysicalMemory", "PhysExtent", "CHUNK_SIZE", "POISON_BYTE"]
+__all__ = ["PhysicalMemory", "PhysExtent", "CHUNK_SIZE", "POISON_BYTE", "zero_bytes"]
 
 #: Materialization granularity of backing storage.
 CHUNK_SIZE = 1 << 20  # 1 MiB
@@ -52,13 +55,29 @@ _ZERO_CHUNK = np.zeros(CHUNK_SIZE, dtype=np.uint8)
 _ZERO_CHUNK.flags.writeable = False
 
 
+def zero_bytes(n: int) -> np.ndarray:
+    """``n`` read-only zero bytes that occupy no storage.
+
+    A stride-0 view of the zero chunk: :func:`holds_nonzero` knows it
+    without a scan, so sending it, or writing it into never-written
+    memory, costs no host work beyond the bookkeeping, however large
+    ``n`` is.
+    """
+    return np.broadcast_to(_ZERO_CHUNK[:1], (n,))
+
+
 def holds_nonzero(piece: np.ndarray) -> bool:
     """Whether a non-empty uint8 array holds a non-zero byte.
 
-    The end bytes decide most non-zero pieces without a scan; the scan is
+    A view of the zero chunk (a never-written chunk's read view, or
+    :func:`zero_bytes`) is known zeros and is not scanned; the chunk is
+    read-only, so no view of it can ever hold anything else.  Any other
+    piece is scanned: its end bytes decide most non-zero pieces, then
     ``max()``, which numpy runs about four times faster than ``any()``
     over uint8.
     """
+    if piece.base is _ZERO_CHUNK or piece is _ZERO_CHUNK:
+        return False
     return bool(piece[0] or piece[-1] or piece.max())
 
 

@@ -9,8 +9,7 @@ characteristics of cloud computing").
 
 from __future__ import annotations
 
-import numpy as np
-
+from ..mem import zero_bytes
 from ..mpss.binaries import MICBinary
 from ..mpss.micnativeloadex import LaunchResult
 from .sshd import ssh_connect
@@ -37,9 +36,9 @@ def ssh_native_launch(
     session = yield from ssh_connect(network, sock, network.card_ip(card), user=user)
     # explicit copies: the executable and each shared library
     t_transfer0 = sim.now
-    yield from session.scp(f"/tmp/{binary.name}", binary.content())
+    yield from session.scp(f"/tmp/{binary.name}", binary.image())
     for dep in binary.deps:
-        yield from session.scp(f"/tmp/{dep.name}", np.zeros(dep.size, dtype=np.uint8))
+        yield from session.scp(f"/tmp/{dep.name}", zero_bytes(dep.size))
     transfer_time = sim.now - t_transfer0
     exit_record = yield from session.exec(binary.name, argv=argv, env=env)
     yield from session.close()

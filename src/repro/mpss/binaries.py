@@ -3,8 +3,10 @@
 A :class:`MICBinary` stands in for a k1om ELF: it has a *size* (its bytes
 really cross the PCIe link at launch, which is what Figs 6-8 amortize)
 and an *entry point* — a generator run on the card's uOS once the loader
-has "exec'ed" it.  ``register_binary`` adds entries to the global
-registry the coi_daemon resolves names against.
+has "exec'ed" it.  Its image is drawn once per binary into a read-only
+memo, which both launch paths send; ``send`` snapshots it like any other
+payload.  ``register_binary`` adds entries to the global registry the
+coi_daemon resolves names against.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ class MICBinary:
     #: ``entry(uos, proc, argv, env) -> generator returning an exit dict``
     entry: Callable
     deps: tuple = ()
+    _image: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                         compare=False)
     _crc: Optional[int] = field(default=None, init=False, repr=False,
                                 compare=False)
 
@@ -45,11 +49,19 @@ class MICBinary:
         """Executable + every dependency (what micnativeloadex ships)."""
         return self.size + sum(d.size for d in self.deps)
 
+    def image(self) -> np.ndarray:
+        """Deterministic fake ELF bytes (checksummed by the loader), drawn
+        once per binary into a read-only memo: what a launch sends."""
+        if self._image is None:
+            rng = np.random.default_rng(zlib.crc32(self.name.encode()))
+            image = rng.integers(0, 256, size=self.size, dtype=np.uint8)
+            image.flags.writeable = False
+            self._image = image
+        return self._image
+
     def content(self) -> np.ndarray:
-        """Deterministic fake ELF bytes (checksummed by the loader), as a
-        fresh writable array on every call."""
-        rng = np.random.default_rng(zlib.crc32(self.name.encode()))
-        return rng.integers(0, 256, size=self.size, dtype=np.uint8)
+        """The :meth:`image` bytes as a fresh writable array on every call."""
+        return self.image().copy()
 
     def checksum(self) -> int:
         """CRC-32 of :meth:`content`, drawn once per binary."""

@@ -74,8 +74,9 @@ def _snapshot(data: DataLike) -> np.ndarray:
     The copy starts as ``np.zeros`` (calloc, so pages never written cost
     no RSS) and takes in only the pieces that hold a non-zero byte: each
     view of a list payload, or each ``CHUNK_SIZE`` slice of a buffer.  An
-    all-zero message (a never-written guest buffer, or a zero blob) is
-    then scanned but never copied.
+    all-zero message is then never copied, and known zeros (views of a
+    never-written guest buffer, or a :func:`~repro.mem.zero_bytes` blob)
+    are not even scanned.
     """
     if isinstance(data, list):
         pieces = data

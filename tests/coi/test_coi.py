@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Machine
-from repro.coi import COIConnection, COIError, start_coi_daemon
+from repro.coi import COIBufferHandle, COIConnection, COIError, start_coi_daemon
 from repro.mpss import MICBinary
 from repro.workloads import DGEMM_BINARY  # registers the dgemm binary
 from repro.workloads.microbench import ClientContext
@@ -76,6 +76,68 @@ def test_buffer_roundtrip(machine):
 
     back = run(machine, body())
     assert np.array_equal(back, payload)
+
+
+def _bad_create_larger_than_card_memory(conn, buf):
+    yield from conn.buffer_create(1 << 40)
+
+
+def _bad_read_past_the_end(conn, buf):
+    data = yield from buf.read(nbytes=8192)
+    return data
+
+
+def _bad_read_unknown_buffer(conn, buf):
+    data = yield from COIBufferHandle(conn, 99, 4096).read()
+    return data
+
+
+def _bad_write_unknown_buffer(conn, buf):
+    yield from COIBufferHandle(conn, 99, 4096).write(np.ones(4096, dtype=np.uint8))
+
+
+def _bad_write_past_the_end(conn, buf):
+    yield from buf.write(np.ones(4096, dtype=np.uint8), offset=2048)
+
+
+def _bad_destroy_unknown_buffer(conn, buf):
+    yield from COIBufferHandle(conn, 99, 4096).destroy()
+
+
+def _bad_run_function_unknown_buffer(conn, buf):
+    yield from conn.run_function("reduce_sum", buffers=[COIBufferHandle(conn, 99, 4096)],
+                                 args={"n": 512})
+
+
+def _bad_message_without_type(conn, buf):
+    yield from conn.call({"buffer": buf.buffer_id})
+
+
+@pytest.mark.parametrize("bad", [
+    _bad_create_larger_than_card_memory, _bad_read_past_the_end,
+    _bad_read_unknown_buffer, _bad_write_unknown_buffer, _bad_write_past_the_end,
+    _bad_destroy_unknown_buffer, _bad_run_function_unknown_buffer,
+    _bad_message_without_type,
+], ids=lambda f: f.__name__[5:])
+def test_bad_buffer_request_is_refused_and_the_connection_lives(machine, bad):
+    """The daemon replies with an error instead of losing the connection
+    handler, and keeps the stream framed: the same connection then serves
+    a valid read byte-exactly."""
+    ctx = ClientContext.native(machine)
+    payload = np.random.default_rng(9).integers(0, 256, 4096, dtype=np.uint8)
+
+    def body():
+        conn = COIConnection(ctx.lib, machine.card_node_id(0))
+        yield from conn.connect()
+        buf = yield from conn.buffer_create(4096)
+        yield from buf.write(payload)
+        with pytest.raises(COIError):
+            yield from bad(conn, buf)
+        back = yield from buf.read()
+        yield from conn.close()
+        return back
+
+    assert np.array_equal(run(machine, body()), payload)
 
 
 def test_offload_vector_scale(machine):

@@ -12,7 +12,7 @@ from repro.mem import (
     POISON_BYTE,
     PhysicalMemory,
 )
-from repro.mem.physical import CHUNK_SIZE
+from repro.mem.physical import _ZERO_CHUNK, CHUNK_SIZE, holds_nonzero, zero_bytes
 
 MB = 1 << 20
 
@@ -131,6 +131,39 @@ def test_unwritten_memory_reads_zero():
     mem = PhysicalMemory(MB)
     ext = mem.alloc(PAGE_SIZE)
     assert not ext.read().any()
+
+
+def test_zero_chunk_views_are_never_scanned(reductions):
+    """Bytes whose memory is the shared read-only zero chunk are known
+    zeros; anything else is still scanned."""
+    mem = PhysicalMemory(4 * MB)
+    views = [v for _, v in mem.iter_views(100, 2 * CHUNK_SIZE)]
+    with reductions() as seen:
+        assert not holds_nonzero(_ZERO_CHUNK)
+        assert not holds_nonzero(_ZERO_CHUNK[7:4096])
+        assert not any(holds_nonzero(v) for v in views)
+    assert not seen
+    with reductions() as seen:
+        assert not holds_nonzero(np.zeros(4096, dtype=np.uint8))
+    assert sum(seen.values()) == 1
+
+
+def test_zero_bytes_is_a_free_read_only_zero_view(reductions):
+    n = 3 * CHUNK_SIZE + 5
+    view = zero_bytes(n)
+    assert len(view) == n and not view.flags.writeable
+    # the no-scan rule recognises it by its base; a numpy release that
+    # changed broadcast_to's base would silently scan it again
+    assert view.base is _ZERO_CHUNK
+    mem = PhysicalMemory(8 * MB)
+    mem.write(CHUNK_SIZE, np.full(CHUNK_SIZE, 7, dtype=np.uint8))
+    written = set(mem._chunks)
+    with reductions() as seen:
+        assert not holds_nonzero(view) and not holds_nonzero(view[CHUNK_SIZE:])
+        mem.write(3, view)  # never-written chunks and a materialized one
+    assert not seen
+    assert set(mem._chunks) == written
+    assert not mem.read(0, 8 * MB).any()
 
 
 def test_freed_region_poisoned():

@@ -3,11 +3,14 @@
 A host RAM, a VM RAM carved out of it (at an offset that is not
 chunk-aligned, so the two see different chunk boundaries) and a card RAM
 are driven by random writes, fills, DMA copies, frees and reads, and
-checked byte for byte against dense ``bytearray`` shadows.  Beyond the
-bytes: no read ever materializes a chunk, a write materializes exactly
-the never-written chunks its non-zero bytes land in, a copy from
-never-written memory materializes nothing, and the shared zero chunk
-stays all zero and read-only.
+checked byte for byte against dense ``bytearray`` shadows.  A write's
+payload is a fresh array, a read-only one, or the zero view
+(``zero_bytes``), which the memory trusts as zeros without scanning; a
+read-only array is trusted for nothing.  Beyond the bytes: no read ever
+materializes a chunk, a write materializes exactly the never-written
+chunks its non-zero bytes land in, a copy from never-written memory
+materializes nothing, and the shared zero chunk stays all zero and
+read-only.
 """
 
 import os
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.mem import CHUNK_SIZE, PAGE_SIZE, POISON_BYTE, OutOfMemory, PhysicalMemory
-from repro.mem.physical import _ZERO_CHUNK
+from repro.mem.physical import _ZERO_CHUNK, zero_bytes
 
 N_EXAMPLES = int(os.environ.get("VPHI_CHAOS_EXAMPLES", "15"))
 
@@ -77,9 +80,12 @@ class ZeroPageMachine(RuleBasedStateMachine):
 
     # -- rules ----------------------------------------------------------
     @rule(data=st.data(), name=st.sampled_from(MEMS),
-          kind=st.sampled_from(["zero", "sparse", "dense"]), whole=st.booleans())
-    def write(self, data, name, kind, whole):
+          kind=st.sampled_from(["zero", "sparse", "dense"]), whole=st.booleans(),
+          form=st.sampled_from(["fresh", "read-only", "zero view"]))
+    def write(self, data, name, kind, whole, form):
         mem, base = self.mems[name], self.base[name]
+        if form == "zero view":
+            kind = "zero"
         if whole:  # whole root chunks
             starts = range((-base) % CHUNK_SIZE, mem.size - CHUNK_SIZE + 1, CHUNK_SIZE)
             addr = data.draw(st.sampled_from(starts))
@@ -99,6 +105,10 @@ class ZeroPageMachine(RuleBasedStateMachine):
             where = data.draw(st.lists(st.sampled_from(edges) | st.integers(0, n - 1),
                                        min_size=1, max_size=3))
             payload[where] = data.draw(st.integers(1, 255))
+        if form == "read-only":
+            payload.flags.writeable = False
+        elif form == "zero view":
+            payload = zero_bytes(n)
         before = self._chunk_set(name)
         mem.write(addr, payload)
         self.shadow[name][lo : lo + n] = payload.tobytes()

@@ -7,7 +7,8 @@ buffer read) hands ``send`` views of simulated memory and the receiver
 gets the queued snapshot itself, so no view may outlive the snapshot:
 once ``send`` is entered, the guest may free and reuse the frames
 without touching the bytes in flight.  At both points a piece of zeros
-is scanned, not copied, and never-written memory stays unmaterialized.
+is scanned, not copied, and never-written memory stays unmaterialized;
+known zeros (views of the shared zero chunk) are not even scanned.
 """
 
 import tracemalloc
@@ -17,7 +18,7 @@ import pytest
 
 from repro import Machine
 from repro.coi import COIConnection, start_coi_daemon
-from repro.mem import CHUNK_SIZE
+from repro.mem import CHUNK_SIZE, zero_bytes
 from repro.vphi import VPhiConfig
 from repro.workloads.microbench import ClientContext
 
@@ -45,6 +46,16 @@ def card_receiver(machine, port, sizes, go=None):
         return got
 
     return machine.sim.spawn(server())
+
+
+def sender(machine, side):
+    """The SCIF library and spawn function of a host process (``native``)
+    or of a guest process on a ``blocking`` or ``pooled`` vPHI backend."""
+    if side == "native":
+        return machine.scif(machine.host_process("tx")), machine.sim.spawn
+    vm = machine.create_vm("vm0", ram_bytes=256 * MB, vphi_config=VPhiConfig(
+        backend_workers=0 if side == "blocking" else 2))
+    return vm.vphi.libscif(vm.guest_process("tx")), vm.spawn_guest
 
 
 @pytest.mark.parametrize("workers", [0, 2], ids=["blocking", "pooled"])
@@ -89,10 +100,10 @@ def test_reused_bounce_frames_never_reach_a_message_in_flight(workers):
 
 
 @pytest.mark.parametrize("workers", [0, 2], ids=["blocking", "pooled"])
-def test_all_zero_guest_message_materializes_no_host_memory(workers):
+def test_all_zero_guest_message_materializes_no_host_memory(workers, reductions):
     """Zeros cost nothing on the way through: the guest's copy-in writes
     no bounce chunk, the backend's views are of the shared zero chunk,
-    and the snapshot copies nothing in."""
+    and the snapshot neither scans nor copies them."""
     machine = Machine(cards=1).boot()
     vm = machine.create_vm("vm0", ram_bytes=256 * MB,
                            vphi_config=VPhiConfig(backend_workers=workers))
@@ -114,8 +125,41 @@ def test_all_zero_guest_message_materializes_no_host_memory(workers):
     machine.run()
     before = dict(host._chunks)
     vm.spawn_guest(send())
-    machine.run()
+    with reductions() as seen:
+        machine.run()
     assert host._chunks == before
+    assert seen["_snapshot"] == 0
+    (got,) = server.value
+    assert len(got) == size and not got.any()
+
+
+@pytest.mark.parametrize("side", ["native", "blocking", "pooled"])
+def test_zero_view_message_is_never_scanned(side, reductions):
+    """``zero_bytes`` is known zeros end to end: no numpy reduction, no
+    host chunk, and the card still receives every byte."""
+    machine = Machine(cards=1).boot()
+    size = 32 * MB
+    port = PORT + 5
+    server = card_receiver(machine, port, [size])
+    lib, spawn = sender(machine, side)
+    connected = {}
+
+    def connect():
+        ep = yield from lib.open()
+        yield from lib.connect(ep, (machine.card_node_id(0), port))
+        connected["ep"] = ep
+
+    def send():
+        yield from lib.send(connected["ep"], zero_bytes(size))
+
+    spawn(connect())
+    machine.run()
+    before = dict(machine.ram._chunks)
+    spawn(send())
+    with reductions() as seen:
+        machine.run()
+    assert not seen
+    assert machine.ram._chunks == before
     (got,) = server.value
     assert len(got) == size and not got.any()
 
@@ -131,14 +175,7 @@ def test_sparse_message_arrives_byte_exact(side):
     payload[where] = [7, 8, 9]
     port = PORT + 4
     server = card_receiver(machine, port, [size])
-    if side == "native":
-        lib = machine.scif(machine.host_process("tx"))
-        spawn = machine.sim.spawn
-    else:
-        vm = machine.create_vm("vm0", ram_bytes=256 * MB, vphi_config=VPhiConfig(
-            backend_workers=0 if side == "blocking" else 2))
-        lib = vm.vphi.libscif(vm.guest_process("tx"))
-        spawn = vm.spawn_guest
+    lib, spawn = sender(machine, side)
 
     def client():
         ep = yield from lib.open()
@@ -198,6 +235,49 @@ def test_guest_message_takes_two_host_copies():
     copies = _peak_copies(machine, lambda: vm.spawn_guest(client()),
                           payload, PORT + 2)
     assert copies <= 2.1
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["blocking", "pooled"])
+def test_guest_recv_takes_two_host_copies(workers):
+    """Card to guest: of the sender's snapshot, the backend's copy into
+    the guest bounce chunks and the guest's modelled copy-out, the host
+    holds at most two at once, and the bytes arrive exact."""
+    machine = Machine(cards=1).boot()
+    vm = machine.create_vm("vm0", ram_bytes=256 * MB,
+                           vphi_config=VPhiConfig(backend_workers=workers))
+    payload = np.random.default_rng(6).integers(0, 256, 32 * MB, dtype=np.uint8)
+    port = PORT + 6
+    slib = machine.scif(machine.card_process("tx"))
+    glib = vm.vphi.libscif(vm.guest_process("rx"))
+    go = machine.sim.event()
+    out = {}
+
+    def server():
+        ep = yield from slib.open()
+        yield from slib.bind(ep, port)
+        yield from slib.listen(ep)
+        conn, _ = yield from slib.accept(ep)
+        yield go
+        yield from slib.send(conn, payload)
+
+    def client():
+        ep = yield from glib.open()
+        yield from glib.connect(ep, (machine.card_node_id(0), port))
+        yield go
+        out["data"] = yield from glib.recv(ep, len(payload))
+
+    machine.sim.spawn(server())
+    vm.spawn_guest(client())
+    machine.run()
+    go.succeed()
+    tracemalloc.start()
+    try:
+        machine.run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out["data"], payload)
+    assert peak / len(payload) <= 2.1
 
 
 def test_coi_buffer_read_takes_one_host_copy():
