@@ -1,4 +1,4 @@
-"""Shared driver for Figures 6-8: dgemm launch+execution, native vs VM.
+"""Shared report and checks for Figures 6-8: dgemm launch+execution.
 
 §IV-C: "we execute micnativeloadex with dgemm as the supplied binary on
 the host and on the VM ... we also measure the total time of execution
@@ -12,60 +12,30 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import fmt_size, fresh_machine_with_daemon, print_table
-from repro.workloads import ClientContext, DGEMM_BINARY, input_bytes
-from repro.mpss import micnativeloadex
-
-#: matrix orders swept (total input size = 2*N^2*8 bytes: 4 MB .. 2.3 GB)
-PROBLEM_SIZES = [500, 1000, 2000, 4000, 8000, 12000]
+from conftest import fmt_size, print_table
+from repro.workloads import input_bytes
 
 
-def run_dgemm_figure(threads: int):
-    """One figure's sweep: (n, native LaunchResult, vphi LaunchResult)."""
-    results = []
-    for n in PROBLEM_SIZES:
-        machine = fresh_machine_with_daemon()
-        ctx = ClientContext.native(machine, f"native-{n}")
-        p = ctx.spawn(micnativeloadex(machine, ctx, DGEMM_BINARY,
-                                      argv=[str(n), str(threads)]))
-        machine.run()
-        native = p.value
-
-        machine2 = fresh_machine_with_daemon()
-        vm = machine2.create_vm("vm0")
-        gctx = ClientContext.guest(vm, f"guest-{n}")
-        p2 = gctx.spawn(micnativeloadex(machine2, gctx, DGEMM_BINARY,
-                                        argv=[str(n), str(threads)]))
-        machine2.run()
-        vphi = p2.value
-        results.append((n, native, vphi))
-    return results
-
-
-def report_and_check(results, threads: int, fig: str):
-    rows = []
-    ratios = []
-    for n, native, vphi in results:
-        ratio = vphi.total_time / native.total_time
-        ratios.append(ratio)
-        rows.append([
-            fmt_size(input_bytes(n)),
-            f"{native.total_time:.3f}",
-            f"{vphi.total_time:.3f}",
-            f"{ratio:.3f}",
-            f"{native.compute_time:.3f}",
-        ])
+def report_and_check(series: dict):
+    """Print one :func:`repro.analysis.fig678_dgemm` dict, assert §IV-C's
+    shape, and return the vPHI/native total-time ratios per N."""
+    by_n = series["by_n"]
+    ratios = [vphi["total_time"] / native["total_time"] for _, native, vphi in by_n]
     print_table(
-        f"Fig {fig}: dgemm launch+execution, {threads} threads "
+        f"{series['figure']}: dgemm launch+execution, {series['threads']} threads "
         "(normalized total time, native=1.0)",
         ["input", "native(s)", "vPHI(s)", "vPHI/native", "compute(s)"],
-        rows,
+        [[fmt_size(input_bytes(n)), f"{native['total_time']:.3f}",
+          f"{vphi['total_time']:.3f}", f"{ratio:.3f}", f"{native['compute_time']:.3f}"]
+         for (n, native, vphi), ratio in zip(by_n, ratios)],
     )
 
     # --- shape assertions (§IV-C conclusions) ---
-    # 1. device execution time identical native vs vPHI
-    for n, native, vphi in results:
-        assert vphi.compute_time == pytest.approx(native.compute_time, rel=1e-6), n
+    # 1. every launch exits cleanly, and the device execution time is
+    #    identical native vs vPHI
+    for n, native, vphi in by_n:
+        assert native["status"] == vphi["status"] == 0, n
+        assert vphi["compute_time"] == pytest.approx(native["compute_time"], rel=1e-6), n
     # 2. relative overhead shrinks as the experiment grows
     assert all(b <= a + 1e-9 for a, b in zip(ratios, ratios[1:])), ratios
     # 3. it is visible for small inputs and negligible for large ones

@@ -27,6 +27,8 @@ N_VMS = 3
 STREAMS_PER_VM = 2
 OPS_PER_STREAM = 25
 RMA_BYTES = 64 * KB
+#: pool sizes swept; 0 is the paper's blocking dispatch
+WORKER_COUNTS = (0, 1, 2, 4, 8)
 POOL_WORKERS = 4
 
 
@@ -94,15 +96,19 @@ def run_scenario(workers: int):
 
 
 def run_backend_pool_ablation():
-    _, _, blk_tput, blk_elapsed, blk_stats = run_scenario(0)
-    machine, vms, pool_tput, pool_elapsed, pool_stats = run_scenario(POOL_WORKERS)
-    return (machine, vms, blk_tput, blk_elapsed, blk_stats,
-            pool_tput, pool_elapsed, pool_stats)
+    """``{workers: run_scenario(workers)}`` over WORKER_COUNTS."""
+    return {workers: run_scenario(workers) for workers in WORKER_COUNTS}
 
 
-def test_ablation_backend_pool(run_once):
-    (machine, vms, blk_tput, blk_elapsed, blk_stats,
-     pool_tput, pool_elapsed, pool_stats) = run_once(run_backend_pool_ablation)
+def test_ablation_backend_pool(run_once, golden):
+    sweep = run_once(run_backend_pool_ablation)
+    golden("a10", {
+        "figure": "a10",
+        "unit": "bytes_per_second",
+        "throughput_by_workers": [[w, tput] for w, (_, _, tput, _, _) in sweep.items()],
+    })
+    _, _, blk_tput, blk_elapsed, blk_stats = sweep[0]
+    machine, vms, pool_tput, pool_elapsed, pool_stats = sweep[POOL_WORKERS]
 
     speedup = pool_tput / blk_tput
     rows = [

@@ -77,8 +77,14 @@ def run_batching_ablation():
     return out
 
 
-def test_ablation_batched_submission(run_once):
+def test_ablation_batched_submission(run_once, golden):
     data = run_once(run_batching_ablation)
+    golden("a8", {
+        "figure": "a8",
+        "unit": "mixed",
+        "makespan_by_mode": [[label, d["makespan"]] for label, d in data.items()],
+        "kicks_by_mode": [[label, d["kicks"]] for label, d in data.items()],
+    })
 
     rows = []
     for label in ("per-request kicks", "one batch"):

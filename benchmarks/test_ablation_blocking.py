@@ -48,8 +48,17 @@ def run_blocking_ablation():
     return out
 
 
-def test_ablation_blocking_vs_worker(run_once):
+def test_ablation_blocking_vs_worker(run_once, golden):
     data = run_once(run_blocking_ablation)
+    golden("a2", {
+        "figure": "a2",
+        "unit": "mixed",
+        "throughput_by_backend": [[label, [[s, bw] for s, bw in d[0]]]
+                                  for label, d in data.items()],
+        "max_stall_by_backend": [[label, d[1]] for label, d in data.items()],
+        "paused_by_backend": [[label, d[2]] for label, d in data.items()],
+        "worker_events_by_backend": [[label, d[3]] for label, d in data.items()],
+    })
 
     rows = []
     for i, size in enumerate(SIZES):

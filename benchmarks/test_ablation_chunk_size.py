@@ -37,8 +37,13 @@ def run_chunk_ablation():
     return out
 
 
-def test_ablation_chunk_size(run_once):
+def test_ablation_chunk_size(run_once, golden):
     data = run_once(run_chunk_ablation)
+    golden("a3", {
+        "figure": "a3",
+        "unit": "bytes_per_second",
+        "throughput_by_chunk": [[c, bw] for c, bw in data],
+    })
 
     rows = [[fmt_size(c), f"{bw / 1e9:.2f}"] for c, bw in data]
     print_table(

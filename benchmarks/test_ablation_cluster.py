@@ -21,6 +21,7 @@ share survives every re-registration on the destination card's arbiter.
 """
 
 import numpy as np
+import pytest
 
 from conftest import print_table
 from repro.cluster import Cluster, live_migrate
@@ -255,11 +256,26 @@ def run_churn_ablation():
 
 
 # ----------------------------------------------------------------------
-# the test
+# the tests
 # ----------------------------------------------------------------------
 
-def test_ablation_cluster_migration(run_once):
-    downtime = run_once(run_downtime_ablation)
+@pytest.fixture(scope="module")
+def a13(golden):
+    """Both sweeps, run once and pinned by the a13 golden."""
+    downtime, churn = run_downtime_ablation(), run_churn_ablation()
+    golden("a13", {
+        "figure": "a13",
+        "unit": "mixed",
+        "downtime_by_replayed_ops": [[ops, t] for _, ops, t, _ in downtime],
+        "violations_by_migrations": [[k, v] for k, v, _, _ in churn],
+        "completed_by_migrations": [[k, c] for k, _, c, _ in churn],
+        "errors_by_migrations": [[k, e] for k, _, _, e in churn],
+    })
+    return downtime, churn
+
+
+def test_ablation_cluster_migration(a13):
+    downtime, _ = a13
 
     rows = [[f"{n} sessions", f"{ops}", f"{t / us(1):.1f} us"]
             for n, ops, t, _ in downtime]
@@ -287,8 +303,8 @@ def test_ablation_cluster_migration(run_once):
     assert times[-1] < 50e-3
 
 
-def test_ablation_cluster_churn(run_once):
-    churn = run_once(run_churn_ablation)
+def test_ablation_cluster_churn(a13):
+    _, churn = a13
     rows = [[f"{k} migrations", f"{v}", f"{c}", f"{e}"]
             for k, v, c, e in churn]
     print_table(

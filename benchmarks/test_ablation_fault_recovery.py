@@ -103,7 +103,7 @@ def run_fault_recovery_ablation():
             fault_lats, fault_fig4, send_error)
 
 
-def test_ablation_fault_recovery(run_once):
+def test_ablation_fault_recovery(run_once, golden):
     (machine, vm1, vm2, base_lats, base_fig4,
      fault_lats, fault_fig4, send_error) = run_once(run_fault_recovery_ablation)
 
@@ -112,6 +112,16 @@ def test_ablation_fault_recovery(run_once):
     overhead = fault_mean / base_mean - 1
     flaps = machine.faults.fires_of(FaultKind.LINK_FLAP)
     resets = machine.faults.fires_of(FaultKind.SCIF_ERROR)
+    golden("a9", {
+        "figure": "a9",
+        "unit": "mixed",
+        "rma_ops_completed": [["fault-free", len(base_lats)], ["faulted", len(fault_lats)]],
+        "mean_read_latency": [["fault-free", base_mean], ["faulted", fault_mean]],
+        "faults_injected": machine.faults.injected,
+        "retries": vm1.vphi.frontend.retries,
+        "link_flaps": flaps,
+        "scif_errors": resets,
+    })
 
     rows = [
         ["RMA ops completed", f"{len(base_lats)}", f"{len(fault_lats)}"],

@@ -66,8 +66,9 @@ def run_notification_ablation():
     return out
 
 
-def test_ablation_notification_suppression(run_once):
+def test_ablation_notification_suppression(run_once, golden):
     data = run_once(run_notification_ablation)
+    golden("a7", {"figure": "a7", "unit": "mixed", **data})
 
     rows = []
     for label in ("plain", "suppressed"):

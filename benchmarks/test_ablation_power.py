@@ -22,6 +22,8 @@ record shows the p99 spike, and the backend's throttled-dispatch counter
 attributes it to the throttle rather than to queueing noise.
 """
 
+import pytest
+
 from conftest import print_table
 from repro import Machine
 from repro.analysis import power_stats, throttle_tail
@@ -87,8 +89,27 @@ def run_tail_scenario(throttled: bool):
 # ----------------------------------------------------------------------
 # pytest shape assertions
 # ----------------------------------------------------------------------
-def test_tdp_cap_sweep():
-    rows = run_power_ablation()
+@pytest.fixture(scope="module")
+def a14(golden):
+    """The cap sweep and both tail runs, run once and pinned by the a14
+    golden."""
+    rows, base, slow = run_power_ablation(), run_tail_scenario(False), run_tail_scenario(True)
+    golden("a14", {
+        "figure": "a14",
+        "unit": "mixed",
+        "time_by_cap": [[cap, t] for cap, t, _, _, _ in rows],
+        "avg_watts_by_cap": [[cap, w] for cap, _, w, _, _ in rows],
+        "gflops_per_watt_by_cap": [[cap, e] for cap, _, _, e, _ in rows],
+        "throttle_residency_by_cap": [[cap, r] for cap, _, _, _, r in rows],
+        "guest_rma_p99": [["p0", base[TAIL_OP]["p99"]], ["deep", slow[TAIL_OP]["p99"]]],
+        "throttled_ops": [["p0", base["_throttled_ops"]["count"]],
+                          ["deep", slow["_throttled_ops"]["count"]]],
+    })
+    return rows, base, slow
+
+
+def test_tdp_cap_sweep(a14):
+    rows, _, _ = a14
     print_table(
         "A14: dgemm vs TDP cap (3120P, 224 threads)",
         ["cap(W)", "time(s)", "avg(W)", "GF/W", "thr%"],
@@ -117,9 +138,8 @@ def test_tdp_cap_sweep():
         assert w <= cap, f"avg {w:.1f} W over the {cap:.0f} W cap"
 
 
-def test_guest_tail_under_throttle():
-    base = run_tail_scenario(False)
-    slow = run_tail_scenario(True)
+def test_guest_tail_under_throttle(a14):
+    _, base, slow = a14
     print_table(
         "A14: guest vreadfrom tail, P0 vs deepest P-state",
         ["run", "count", "p50(s)", "p99(s)", "throttled ops"],

@@ -73,8 +73,16 @@ def run_qos_ablation() -> dict:
     return reports
 
 
-def test_ablation_qos(run_once):
+def test_ablation_qos(run_once, golden):
     reports = run_once(run_qos_ablation)
+    golden("a12", {
+        "figure": "a12",
+        "unit": "mixed",
+        "weighted_jain_by_policy": [[p, r.weighted_jain] for p, r in reports.items()],
+        "gold_p99_by_policy": [[p, gold_p99(r)] for p, r in reports.items()],
+        "completed_by_policy": [[p, r.total_completed] for p, r in reports.items()],
+        "shed_by_policy": [[p, r.total_shed] for p, r in reports.items()],
+    })
     rr, wfq, prio = reports["rr"], reports["wfq"], reports["priority"]
 
     rows = []

@@ -59,8 +59,14 @@ def run_ring_sweep():
     return out
 
 
-def test_ablation_ring_size(run_once):
+def test_ablation_ring_size(run_once, golden):
     data = run_once(run_ring_sweep)
+    golden("a6", {
+        "figure": "a6",
+        "unit": "mixed",
+        "makespan_by_ring": [[size, m] for size, m, _ in data],
+        "peak_in_flight_by_ring": [[size, p] for size, _, p in data],
+    })
 
     rows = [
         [str(size), f"{makespan / us(1):.0f}", str(peak)]

@@ -81,8 +81,15 @@ def run_paths_ablation():
     return sendrecv_bw, bounced, direct
 
 
-def test_ablation_rma_vs_sendrecv(run_once):
+def test_ablation_rma_vs_sendrecv(run_once, golden):
     sendrecv_bw, bounced, direct = run_once(run_paths_ablation)
+    golden("a4", {
+        "figure": "a4",
+        "unit": "bytes_per_second",
+        "sendrecv": [[s, bw] for s, bw in sendrecv_bw],
+        "vreadfrom_bounced": [[s, bw] for s, bw in bounced],
+        "readfrom_window": [[s, bw] for s, bw in direct],
+    })
 
     rows = []
     for i, size in enumerate(SIZES):

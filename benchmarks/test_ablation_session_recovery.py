@@ -116,8 +116,13 @@ def run_session_recovery_ablation():
     return [(n,) + run_scenario(n)[2:] for n in ENDPOINT_COUNTS]
 
 
-def test_ablation_session_recovery(run_once):
+def test_ablation_session_recovery(run_once, golden):
     series = run_once(run_session_recovery_ablation)
+    golden("a11", {
+        "figure": "a11",
+        "unit": "seconds",
+        "rebuild_by_replayed_ops": [[ops, t] for _, ops, t, _ in series],
+    })
 
     rows = [[f"{n} sessions", f"{ops}", f"{t / us(1):.1f} us"]
             for n, ops, t, _ in series]

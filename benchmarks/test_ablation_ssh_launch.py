@@ -49,8 +49,16 @@ def run_launch_paths():
     return tool, ssh, sessions
 
 
-def test_ablation_ssh_vs_micnativeloadex(run_once):
+def test_ablation_ssh_vs_micnativeloadex(run_once, golden):
     tool, ssh, sessions = run_once(run_launch_paths)
+    golden("a5", {
+        "figure": "a5",
+        "unit": "seconds",
+        **{path: {"total_time": r.total_time, "transfer_time": r.transfer_time,
+                  "compute_time": r.compute_time}
+           for path, r in (("micnativeloadex", tool), ("ssh", ssh))},
+        "ssh_sessions": sessions,
+    })
 
     print_table(
         f"A5: native-mode launch paths from a VM (dgemm N={N}, {THREADS} threads)",

@@ -28,8 +28,15 @@ def run_wait_ablation():
     return out
 
 
-def test_ablation_wait_scheme(run_once):
+def test_ablation_wait_scheme(run_once, golden):
     data = run_once(run_wait_ablation)
+    golden("a1", {
+        "figure": "a1",
+        "unit": "seconds",
+        "latency_by_mode": [[mode, [[s, t] for s, t in series]]
+                            for mode, (series, _) in data.items()],
+        "poll_cpu_by_mode": [[mode, cpu] for mode, (_, cpu) in data.items()],
+    })
 
     rows = []
     for i, size in enumerate(SIZES):

@@ -6,24 +6,14 @@ Paper anchors: the host remote read peaks at 6.4 GB/s; vPHI reaches
 
 import pytest
 
-from conftest import MB, fmt_size, fresh_machine, print_table
-from repro.workloads import ClientContext, rma_read_throughput
-
-SIZES = [64 * 1024, 256 * 1024, MB, 4 * MB, 16 * MB, 64 * MB, 256 * MB]
+from conftest import fmt_size, print_table
+from repro.analysis import fig5_throughput
 
 
-def run_fig5():
-    machine = fresh_machine()
-    native = rma_read_throughput(machine, ClientContext.native(machine), SIZES)
-
-    machine2 = fresh_machine()
-    vm = machine2.create_vm("vm0")
-    vphi = rma_read_throughput(machine2, ClientContext.guest(vm), SIZES)
-    return native, vphi
-
-
-def test_fig5_remote_read_throughput(run_once):
-    native, vphi = run_once(run_fig5)
+def test_fig5_remote_read_throughput(run_once, golden):
+    series = run_once(fig5_throughput)
+    golden("fig5", series)
+    native, vphi = series["native"], series["vphi"]
 
     rows = []
     for (size, nbw), (_, vbw) in zip(native, vphi):

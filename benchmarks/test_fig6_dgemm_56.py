@@ -1,10 +1,10 @@
 """Figure 6: launch and execution of dgemm using 56 threads (1/core)."""
 
-from dgemm_common import report_and_check, run_dgemm_figure
+from dgemm_common import report_and_check
+from repro.analysis import fig678_dgemm
 
-THREADS = 56
 
-
-def test_fig6_dgemm_56_threads(run_once):
-    results = run_once(run_dgemm_figure, THREADS)
-    report_and_check(results, THREADS, fig="6")
+def test_fig6_dgemm_56_threads(run_once, golden):
+    series = run_once(fig678_dgemm, 56)
+    golden("fig6", series)
+    report_and_check(series)

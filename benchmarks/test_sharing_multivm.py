@@ -37,8 +37,16 @@ def run_sharing():
     return out
 
 
-def test_sharing_multivm(run_once):
+def test_sharing_multivm(run_once, golden):
     data = run_once(run_sharing)
+    golden("sharing", {
+        "figure": "sharing",
+        "unit": "mixed",
+        "worst_total_by_vms": [[n, max(r.total_time for r in results)]
+                               for n, results, _ in data],
+        "peak_demand_by_vms": [[n, peak] for n, _, peak in data],
+        "ok_by_vms": [[n, sum(r.status == 0 for r in results)] for n, results, _ in data],
+    })
 
     solo_time = data[0][1][0].total_time
     rows = []

@@ -43,11 +43,8 @@ import heapq
 import time
 
 import numpy as np
-from conftest import fresh_machine
+from repro.analysis.figures import FIG5_SIZES, fig5_throughput
 from repro.sim import Simulator
-from repro.workloads import ClientContext, rma_read_throughput
-
-from test_fig5_throughput import SIZES as FIG5_SIZES
 
 #: scheduler floor: fraction of the raw-heapq reference rate the full
 #: simulator must clear.  Measured median 0.312 (1/3.2, quartiles
@@ -125,25 +122,15 @@ def test_scheduler_events_per_sec_floor():
     )
 
 
-def _run_fig5_scenario():
-    """One full Fig 5 sweep (native + guest); returns the guest VM."""
-    machine = fresh_machine()
-    rma_read_throughput(machine, ClientContext.native(machine), FIG5_SIZES)
-    machine2 = fresh_machine()
-    vm = machine2.create_vm("vm0")
-    rma_read_throughput(machine2, ClientContext.guest(vm), FIG5_SIZES)
-    return vm
-
-
 def test_fig5_scenario_throughput_floor():
-    _run_fig5_scenario()  # warmup: arenas, imports, first-touch faults
+    fig5_throughput()  # warmup: arenas, imports, first-touch faults
     # best of two: minor-fault servicing cost varies run to run on some
     # kernels even at steady state, so a single sample can read 2-3x
     # slow.  The datapath's own cost is the floor of the distribution.
     elapsed = float("inf")
     for _ in range(2):
         t0 = time.perf_counter()
-        vm = _run_fig5_scenario()
+        series = fig5_throughput()
         elapsed = min(elapsed, time.perf_counter() - t0)
 
     total_bytes = 2 * sum(FIG5_SIZES)  # native sweep + vPHI sweep
@@ -152,13 +139,10 @@ def test_fig5_scenario_throughput_floor():
     memcpy_ref = _memcpy_reference_rate()
     floor = min(heap_ref * FIG5_BYTES_PER_HEAP_OP_FLOOR,
                 memcpy_ref * FIG5_MEMCPY_RATIO_FLOOR)
-    # the forwarded-op rate rides along as observability
-    ops = vm.vphi.frontend.requests
-    print(f"\nfig5 sweep: {elapsed:.2f}s wall, {rate / 1e6:,.1f} MB/s, "
-          f"{ops} vPHI ops ({ops / elapsed:,.0f} ops/s); floor "
+    print(f"\nfig5 sweep: {elapsed:.2f}s wall, {rate / 1e6:,.1f} MB/s; floor "
           f"{floor / 1e6:,.1f} MB/s (heapq ref {heap_ref:,.0f}/s, "
           f"memcpy ref {memcpy_ref / 1e6:,.0f} MB/s)")
-    assert ops > 0
+    assert len(series["native"]) == len(series["vphi"]) == len(FIG5_SIZES)
     assert rate > floor, (
         f"Fig 5 scenario moved {rate / 1e6:,.1f} MB per wall-second, below "
         f"the calibrated {floor / 1e6:,.1f} MB/s floor for this runner "

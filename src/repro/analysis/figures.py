@@ -1,110 +1,116 @@
-"""Programmatic figure data: run the evaluation, return/serialize series.
+"""Programmatic figure data: the one driver of each of Figs 4-8.
 
-The benchmark files under ``benchmarks/`` assert shapes; this module is
-the library face of the same experiments — it returns the raw series so
-downstream users can plot or export them (``to_csv``).
+Each function runs its figure's sweep on fresh machines and returns the
+JSON dict its golden (``benchmarks/golden/<figure>.json``) holds.  The
+CLI, :func:`to_csv` and the figure benchmarks all read that dict.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-__all__ = ["FigureSeries", "fig4_latency", "fig5_throughput", "fig678_dgemm", "to_csv"]
+__all__ = ["FIG4_SIZES", "FIG5_SIZES", "DGEMM_SIZES", "fig4_latency",
+           "fig5_throughput", "fig678_dgemm", "to_csv"]
+
+MB = 1 << 20
+FIG4_SIZES = (1, 64, 256, 1024, 4096, 16384, 65536)
+FIG5_SIZES = (64 * 1024, 256 * 1024, MB, 4 * MB, 16 * MB, 64 * MB, 256 * MB)
+#: matrix orders of Figs 6-8 (total input size 2*N^2*8 bytes: 4 MB .. 2.3 GB)
+DGEMM_SIZES = (500, 1000, 2000, 4000, 8000, 12000)
+#: which figure each thread count is (1, 2 and 4 threads per core)
+_DGEMM_FIGURES = {56: "fig6", 112: "fig7", 224: "fig8"}
+#: CSV column suffix per Fig 4/5 unit
+_CSV_SUFFIX = {"seconds": "s", "bytes_per_second": "bps"}
 
 
-@dataclass
-class FigureSeries:
-    """One figure's data: column names + rows."""
-
-    figure: str
-    columns: list[str]
-    rows: list[tuple] = field(default_factory=list)
-
-    def column(self, name: str) -> list:
-        i = self.columns.index(name)
-        return [r[i] for r in self.rows]
+def to_csv(series: dict) -> str:
+    """A Fig 4 or Fig 5 dict as CSV: one row per size, both stacks."""
+    suffix = _CSV_SUFFIX[series["unit"]]
+    lines = [f"size_bytes,native_{suffix},vphi_{suffix}"]
+    for (size, native), (_, vphi) in zip(series["native"], series["vphi"]):
+        lines.append(f"{size},{native:.9g},{vphi:.9g}")
+    return "\n".join(lines) + "\n"
 
 
-def to_csv(series: FigureSeries) -> str:
-    out = io.StringIO()
-    out.write(",".join(series.columns) + "\n")
-    for row in series.rows:
-        out.write(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row))
-        out.write("\n")
-    return out.getvalue()
-
-
-def _fresh_machine():
+def _both_stacks(workload, sizes):
+    """``workload`` from a host client, then from a guest client on a
+    second machine; returns both series and the guest's VM."""
     from ..system import Machine
+    from ..workloads import ClientContext
 
-    return Machine(cards=1).boot()
-
-
-def fig4_latency(sizes: Optional[Sequence[int]] = None) -> FigureSeries:
-    """Fig 4: send-recv latency (seconds) per message size, both stacks."""
-    from ..workloads import ClientContext, sendrecv_latency
-
-    sizes = list(sizes or (1, 64, 256, 1024, 4096, 16384, 65536))
-    machine = _fresh_machine()
-    native = sendrecv_latency(machine, ClientContext.native(machine), sizes)
-    machine2 = _fresh_machine()
+    machine = Machine(cards=1).boot()
+    native = workload(machine, ClientContext.native(machine), sizes)
+    machine2 = Machine(cards=1).boot()
     vm = machine2.create_vm("vm0")
-    vphi = sendrecv_latency(machine2, ClientContext.guest(vm), sizes)
-    series = FigureSeries("fig4", ["size_bytes", "native_s", "vphi_s"])
-    for (s, nl), (_, vl) in zip(native, vphi):
-        series.rows.append((s, nl, vl))
-    return series
+    vphi = workload(machine2, ClientContext.guest(vm), sizes)
+    return native, vphi, vm
 
 
-def fig5_throughput(sizes: Optional[Sequence[int]] = None) -> FigureSeries:
+def fig4_latency(sizes: Optional[Sequence[int]] = None) -> dict:
+    """Fig 4: send-recv latency (seconds) per message size, both stacks.
+
+    ``wait_share`` is the §IV-B breakdown: the per-request time spent in
+    the frontend's sleep/wake-up scheme (the ``guest_wake`` span phase,
+    which every forwarded op pays once) over the first size's gap.
+    """
+    from ..workloads import sendrecv_latency
+    from .spans import span_breakdown
+
+    native, vphi, vm = _both_stacks(sendrecv_latency, list(sizes or FIG4_SIZES))
+    per_op = span_breakdown(vm.tracer).values()
+    wait = (sum(bd.phases.get("guest_wake", 0.0) for bd in per_op)
+            / sum(bd.count for bd in per_op))
+    return {
+        "figure": "fig4",
+        "unit": "seconds",
+        "native": [[s, t] for s, t in native],
+        "vphi": [[s, t] for s, t in vphi],
+        "wait_share": wait / (vphi[0][1] - native[0][1]),
+    }
+
+
+def fig5_throughput(sizes: Optional[Sequence[int]] = None) -> dict:
     """Fig 5: remote-read throughput (bytes/s) per transfer size."""
-    from ..workloads import ClientContext, rma_read_throughput
+    from ..workloads import rma_read_throughput
 
-    MB = 1 << 20
-    sizes = list(sizes or (64 * 1024, 256 * 1024, MB, 4 * MB, 16 * MB, 64 * MB, 256 * MB))
-    machine = _fresh_machine()
-    native = rma_read_throughput(machine, ClientContext.native(machine), sizes)
-    machine2 = _fresh_machine()
-    vm = machine2.create_vm("vm0")
-    vphi = rma_read_throughput(machine2, ClientContext.guest(vm), sizes)
-    series = FigureSeries("fig5", ["size_bytes", "native_bps", "vphi_bps"])
-    for (s, nb), (_, vb) in zip(native, vphi):
-        series.rows.append((s, nb, vb))
-    return series
+    native, vphi, _ = _both_stacks(rma_read_throughput, list(sizes or FIG5_SIZES))
+    return {
+        "figure": "fig5",
+        "unit": "bytes_per_second",
+        "native": [[s, bw] for s, bw in native],
+        "vphi": [[s, bw] for s, bw in vphi],
+    }
 
 
-def fig678_dgemm(threads: int, problem_sizes: Optional[Sequence[int]] = None) -> FigureSeries:
-    """Figs 6-8: dgemm total time per input size, both stacks."""
+def _dgemm_launch(n: int, threads: int, guest: bool) -> dict:
+    """One ``micnativeloadex dgemm`` on a fresh machine with a COI daemon."""
     from ..coi import start_coi_daemon
     from ..mpss import micnativeloadex
-    from ..workloads import ClientContext, DGEMM_BINARY, input_bytes
+    from ..system import Machine
+    from ..workloads import DGEMM_BINARY, ClientContext
 
-    problem_sizes = list(problem_sizes or (500, 1000, 2000, 4000, 8000))
-    series = FigureSeries(
-        f"fig_dgemm_{threads}",
-        ["n", "input_bytes", "native_total_s", "vphi_total_s", "compute_s"],
-    )
-    for n in problem_sizes:
-        machine = _fresh_machine()
-        start_coi_daemon(machine, card=0)
-        ctx = ClientContext.native(machine)
-        p = ctx.spawn(micnativeloadex(machine, ctx, DGEMM_BINARY,
-                                      argv=[str(n), str(threads)]))
-        machine.run()
-        native = p.value
+    machine = Machine(cards=1).boot()
+    start_coi_daemon(machine, card=0)
+    ctx = (ClientContext.guest(machine.create_vm("vm0")) if guest
+           else ClientContext.native(machine))
+    proc = ctx.spawn(micnativeloadex(machine, ctx, DGEMM_BINARY,
+                                     argv=[str(n), str(threads)]))
+    machine.run()
+    res = proc.value
+    return {"status": res.status, "total_time": res.total_time,
+            "transfer_time": res.transfer_time,
+            "compute_time": res.compute_time,
+            "transferred_bytes": res.transferred_bytes}
 
-        machine2 = _fresh_machine()
-        start_coi_daemon(machine2, card=0)
-        vm = machine2.create_vm("vm0")
-        gctx = ClientContext.guest(vm)
-        p2 = gctx.spawn(micnativeloadex(machine2, gctx, DGEMM_BINARY,
-                                        argv=[str(n), str(threads)]))
-        machine2.run()
-        vphi = p2.value
-        series.rows.append(
-            (n, input_bytes(n), native.total_time, vphi.total_time,
-             native.compute_time)
-        )
-    return series
+
+def fig678_dgemm(threads: int, problem_sizes: Optional[Sequence[int]] = None) -> dict:
+    """Figs 6-8: dgemm launch + execution per matrix order, both stacks.
+
+    ``by_n`` holds ``[n, native, vphi]`` launch records.
+    """
+    return {
+        "figure": _DGEMM_FIGURES.get(threads, f"dgemm_{threads}"),
+        "threads": threads,
+        "by_n": [[n, _dgemm_launch(n, threads, False), _dgemm_launch(n, threads, True)]
+                 for n in problem_sizes or DGEMM_SIZES],
+    }

@@ -44,8 +44,9 @@ def _cmd_fig4(args) -> int:
         print(to_csv(series), end="")
         return 0
     print(f"{'size':>10}  {'native(us)':>11}  {'vPHI(us)':>10}")
-    for size, nl, vl in series.rows:
+    for (size, nl), (_, vl) in zip(series["native"], series["vphi"]):
         print(f"{size:>10}  {nl * 1e6:>11.1f}  {vl * 1e6:>10.1f}")
+    print(f"wait-scheme share of the overhead: {series['wait_share']:.1%} (paper: 93%)")
     return 0
 
 
@@ -58,7 +59,7 @@ def _cmd_fig5(args) -> int:
         print(to_csv(series), end="")
         return 0
     print(f"{'size':>12}  {'native(GB/s)':>13}  {'vPHI(GB/s)':>11}  {'ratio':>6}")
-    for size, nb, vb in series.rows:
+    for (size, nb), (_, vb) in zip(series["native"], series["vphi"]):
         print(f"{size:>12}  {nb / 1e9:>13.2f}  {vb / 1e9:>11.2f}  {vb / nb:>6.0%}")
     return 0
 

@@ -13,12 +13,13 @@ services:
   COI buffers (used by offload mode);
 * ``run_function`` — offload-mode RPC into a created process.
 
-A request naming an unknown op or buffer, a range outside its buffer,
-or a buffer size card memory cannot hold gets an ``{"ok": False}`` reply
-instead of killing the connection handler, and leaves the stream
-framed: a refused write still receives its payload, and a refused read
-still sends its ``nbytes`` (as zeros that cost nothing) before the
-reply.
+A request naming an unknown op or buffer, lacking a field its op needs,
+naming a range outside its buffer, or asking for a buffer size card
+memory cannot hold gets an ``{"ok": False}`` reply instead of killing
+the connection handler.  A request refused for its buffer or range
+leaves the stream framed: a refused write still receives its payload,
+and a refused read still sends its ``nbytes`` (as zeros that cost
+nothing) before the reply.
 """
 
 from __future__ import annotations
@@ -33,6 +34,20 @@ from ..scif import NativeScif, ScifError
 from .protocol import COI_DAEMON_PORT, recv_msg, recv_raw, send_msg
 
 __all__ = ["CoiDaemon", "start_coi_daemon"]
+
+
+#: the request fields each op reads without a default
+_REQUIRED = {
+    "process_create": ("binary", "binary_size", "transfer_bytes"),
+    "process_wait": ("pid",),
+    "buffer_create": ("nbytes",),
+    "buffer_write": ("nbytes",),
+    "buffer_read": ("nbytes",),
+    "pipeline_destroy": ("pipeline",),
+    "pipeline_enqueue": ("pipeline", "function"),
+    "run_wait": ("run",),
+    "run_function": ("function",),
+}
 
 
 class _CardProcess:
@@ -87,8 +102,11 @@ class CoiDaemon:
                 msg = yield from recv_msg(lib, conn)
                 op = msg.get("type") if isinstance(msg, dict) else None
                 handler = getattr(self, f"_op_{op}", None)
-                if handler is None:
-                    yield from send_msg(lib, conn, {"ok": False, "error": f"bad op {op!r}"})
+                missing = handler and next(
+                    (f for f in _REQUIRED.get(op, ()) if f not in msg), None)
+                if handler is None or missing:
+                    error = f"{op}: no {missing!r} field" if missing else f"bad op {op!r}"
+                    yield from send_msg(lib, conn, {"ok": False, "error": error})
                     continue
                 reply = yield from handler(msg, conn)
                 yield from send_msg(lib, conn, reply)

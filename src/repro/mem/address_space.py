@@ -251,15 +251,6 @@ class AddressSpace:
         self._pt[vpn] = pte
         return pte
 
-    def map_page(self, vaddr: int, mem: PhysicalMemory, paddr: int) -> None:
-        """Install an explicit translation (kmap-style, no VMA required)."""
-        if page_offset(vaddr) or page_offset(paddr):
-            raise MemError("map_page requires page-aligned addresses")
-        vpn = vaddr >> PAGE_SHIFT
-        if vpn in self._pt:
-            raise MemError(f"page {vaddr:#x} already mapped")
-        self._pt[vpn] = PTE(mem, paddr)
-
     def unmap_page(self, vaddr: int) -> None:
         pte = self._pt.pop(vaddr >> PAGE_SHIFT, None)
         if pte is None:

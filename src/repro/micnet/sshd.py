@@ -27,6 +27,8 @@ from .stack import MicNetwork, NetSocket
 __all__ = ["SshDaemon", "SshSession", "ssh_connect"]
 
 SSH_PORT = 22
+#: the request fields each command reads without a default
+_REQUIRED = {"scp": ("path", "size"), "exec": ("binary",)}
 
 
 @dataclass
@@ -79,11 +81,14 @@ class SshDaemon:
             yield from send_msg(lib, ep, {"ok": True, "banner": f"mic{self.card} uOS"})
             while True:
                 msg = yield from recv_msg(lib, ep)
-                record.commands.append(msg["type"])
-                handler = getattr(self, f"_cmd_{msg['type']}", None)
-                if handler is None:
-                    yield from send_msg(lib, ep, {"ok": False,
-                                                  "error": f"bad command {msg['type']}"})
+                op = msg.get("type") if isinstance(msg, dict) else None
+                record.commands.append(op)
+                handler = getattr(self, f"_cmd_{op}", None)
+                missing = handler and next(
+                    (f for f in _REQUIRED.get(op, ()) if f not in msg), None)
+                if handler is None or missing:
+                    error = f"{op}: no {missing!r} field" if missing else f"bad command {op}"
+                    yield from send_msg(lib, ep, {"ok": False, "error": error})
                     continue
                 reply = yield from handler(msg, sock)
                 yield from send_msg(lib, ep, reply)

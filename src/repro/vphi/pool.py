@@ -531,12 +531,6 @@ class WorkerPool:
         """A member died mid-request; QEMU respawns it from the pool."""
         self.deaths += 1
 
-    def utilization(self, elapsed: float) -> float:
-        """Busy fraction of the pool's total member-time."""
-        if elapsed <= 0:
-            return 0.0
-        return min(self.busy_time / (self.size * elapsed), 1.0)
-
     def shutdown(self) -> None:
         for chan in self._chans:
             chan.close()

@@ -95,6 +95,11 @@ def sendrecv_latency(machine, ctx: ClientContext, sizes: Sequence[int],
 # ----------------------------------------------------------------------
 # Fig 5 workload
 # ----------------------------------------------------------------------
+#: the window holds seeded bytes repeating with this prime period, so a
+#: page read back from the wrong offset holds different bytes.
+PAYLOAD_PERIOD = 65_521
+
+
 def rma_read_throughput(machine, ctx: ClientContext, sizes: Sequence[int],
                         card: int = 0, verify: bool = True) -> list[tuple[int, float]]:
     """Measure scif_vreadfrom throughput per transfer size.
@@ -111,6 +116,7 @@ def rma_read_throughput(machine, ctx: ClientContext, sizes: Sequence[int],
     sizes = list(sizes)
     max_size = max(sizes)
     ready = machine.sim.event()
+    block = np.random.default_rng(7).integers(0, 256, PAYLOAD_PERIOD, dtype=np.uint8)
 
     def server():
         ep = yield from slib.open()
@@ -118,9 +124,7 @@ def rma_read_throughput(machine, ctx: ClientContext, sizes: Sequence[int],
         yield from slib.listen(ep)
         conn, _ = yield from slib.accept(ep)
         vma = sproc.address_space.mmap(max_size, populate=True, name="rma-window")
-        sproc.address_space.write(
-            vma.start, np.full(max_size, 0x5F, dtype=np.uint8)
-        )
+        sproc.address_space.write(vma.start, np.resize(block, max_size))
         roff = yield from slib.register(conn, vma.start, max_size)
         ready.succeed(roff)
         yield from slib.recv(conn, 1)  # hold the window until the client ends
@@ -135,10 +139,13 @@ def rma_read_throughput(machine, ctx: ClientContext, sizes: Sequence[int],
             t0 = machine.sim.now
             yield from ctx.lib.vreadfrom(ep, vma.start, size, roff)
             dt = machine.sim.now - t0
-            if verify:
-                tail = ctx.process.address_space.read(vma.start + size - min(size, 4096),
-                                                      min(size, 4096))
-                assert (tail == 0x5F).all(), "RMA payload corrupted"
+            if verify:  # the first and last page, each at its offset
+                page = min(size, 4096)
+                for off in (0, size - page):
+                    got = ctx.process.address_space.read(vma.start + off, page)
+                    want = block[np.arange(off, off + page) % PAYLOAD_PERIOD]
+                    assert np.array_equal(got, want), \
+                        f"RMA payload corrupted: {size}-byte read, page at {off}"
             results.append((size, size / dt))
         yield from ctx.lib.send(ep, b"x")
         yield from ctx.lib.close(ep)

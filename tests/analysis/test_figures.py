@@ -1,9 +1,11 @@
-"""Figure-data API: the dgemm series generator and CSV round trips."""
+"""Figure-data API: the Figs 6-8 dgemm driver returns its golden's dict."""
 
 import pytest
 
-from repro.analysis import fig678_dgemm, to_csv
-from repro.workloads import input_bytes
+from repro.analysis import fig678_dgemm
+
+RECORD_KEYS = {"status", "total_time", "transfer_time", "compute_time",
+               "transferred_bytes"}
 
 
 @pytest.fixture(scope="module")
@@ -12,24 +14,18 @@ def series():
 
 
 def test_dgemm_series_columns(series):
-    assert series.columns == [
-        "n", "input_bytes", "native_total_s", "vphi_total_s", "compute_s"
-    ]
-    assert series.column("n") == [256, 512]
-    assert series.column("input_bytes") == [input_bytes(256), input_bytes(512)]
+    assert series["figure"] == "fig7"
+    assert series["threads"] == 112
+    assert [n for n, _, _ in series["by_n"]] == [256, 512]
+    for _, native, vphi in series["by_n"]:
+        assert set(native) == set(vphi) == RECORD_KEYS
+        assert native["status"] == vphi["status"] == 0
 
 
 def test_dgemm_series_shape(series):
-    natives = series.column("native_total_s")
-    vphis = series.column("vphi_total_s")
+    natives = [native["total_time"] for _, native, _ in series["by_n"]]
+    vphis = [vphi["total_time"] for _, _, vphi in series["by_n"]]
     for nat, vp in zip(natives, vphis):
         assert vp > nat  # vPHI always costs something
     # bigger problems take longer
     assert natives[1] > natives[0]
-
-
-def test_dgemm_series_csv(series):
-    csv = to_csv(series)
-    lines = csv.strip().split("\n")
-    assert lines[0].startswith("n,input_bytes")
-    assert len(lines) == 3

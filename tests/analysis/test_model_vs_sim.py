@@ -36,23 +36,23 @@ def fig5():
 
 
 def test_native_latency_model_matches_sim(fig4):
-    for size, sim_lat in zip(fig4.column("size_bytes"), fig4.column("native_s")):
+    for size, sim_lat in fig4["native"]:
         assert sim_lat == pytest.approx(predicted_native_latency(size), rel=0.02), size
 
 
 def test_vphi_latency_model_matches_sim(fig4):
-    for size, sim_lat in zip(fig4.column("size_bytes"), fig4.column("vphi_s")):
+    for size, sim_lat in fig4["vphi"]:
         assert sim_lat == pytest.approx(predicted_vphi_latency(size), rel=0.02), size
 
 
 def test_native_rma_model_matches_sim(fig5):
-    for size, sim_bw in zip(fig5.column("size_bytes"), fig5.column("native_bps")):
+    for size, sim_bw in fig5["native"]:
         model_bw = size / predicted_native_rma_time(size)
         assert sim_bw == pytest.approx(model_bw, rel=0.03), size
 
 
 def test_vphi_rma_model_matches_sim(fig5):
-    for size, sim_bw in zip(fig5.column("size_bytes"), fig5.column("vphi_bps")):
+    for size, sim_bw in fig5["vphi"]:
         model_bw = size / predicted_vphi_rma_time(size)
         assert sim_bw == pytest.approx(model_bw, rel=0.05), size
 
@@ -69,6 +69,6 @@ def test_csv_export_roundtrip(fig4):
 
 
 def test_series_column_access(fig4):
-    assert fig4.column("size_bytes") == LAT_SIZES
-    with pytest.raises(ValueError):
-        fig4.column("nope")
+    assert set(fig4) == {"figure", "unit", "native", "vphi", "wait_share"}
+    assert [s for s, _ in fig4["native"]] == LAT_SIZES
+    assert [s for s, _ in fig4["vphi"]] == LAT_SIZES

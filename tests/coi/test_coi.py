@@ -113,11 +113,19 @@ def _bad_message_without_type(conn, buf):
     yield from conn.call({"buffer": buf.buffer_id})
 
 
+def _bad_wait_without_pid(conn, buf):
+    yield from conn.call({"type": "process_wait"})
+
+
+def _bad_read_without_nbytes(conn, buf):
+    yield from conn.call({"type": "buffer_read", "buffer": buf.buffer_id})
+
+
 @pytest.mark.parametrize("bad", [
     _bad_create_larger_than_card_memory, _bad_read_past_the_end,
     _bad_read_unknown_buffer, _bad_write_unknown_buffer, _bad_write_past_the_end,
     _bad_destroy_unknown_buffer, _bad_run_function_unknown_buffer,
-    _bad_message_without_type,
+    _bad_message_without_type, _bad_wait_without_pid, _bad_read_without_nbytes,
 ], ids=lambda f: f.__name__[5:])
 def test_bad_buffer_request_is_refused_and_the_connection_lives(machine, bad):
     """The daemon replies with an error instead of losing the connection

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Machine
+from repro.coi.protocol import recv_msg, send_msg
 from repro.micnet import (
     MicNetwork,
     NetBridge,
@@ -194,6 +195,29 @@ class TestSshd:
             return True
 
         assert run(machine, body()) is True
+
+
+    def test_request_missing_a_field_is_refused(self, machine, network):
+        """A request without a type, or without a field its command
+        reads, gets an error reply and the session keeps serving."""
+        SshDaemon(machine, network=network).start()
+        clib = machine.scif(machine.host_process("user"))
+
+        def body():
+            sock = NetSocket(network, clib)
+            session = yield from ssh_connect(network, sock, "172.31.0.1")
+            replies = []
+            for bad in ({"path": "/tmp/x"}, {"type": "exec"}):
+                yield from send_msg(sock.lib, sock.ep, bad)
+                replies.append((yield from recv_msg(sock.lib, sock.ep)))
+            files = yield from session.ls()
+            yield from session.close()
+            return replies, files
+
+        replies, files = run(machine, body())
+        assert [r["error"] for r in replies] == ["bad command None",
+                                                 "exec: no 'binary' field"]
+        assert files == []
 
 
 class TestIsolationProblem:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import Machine
-from repro.sim import us
+from repro.sim import SimError, us
 from repro.workloads import (
     ClientContext,
     MKL_EFFICIENCY,
@@ -66,6 +66,28 @@ class TestMicrobenchHelpers:
         results = rma_read_throughput(machine, ctx, [64 * 1024, MB, 16 * MB])
         bws = [bw for _, bw in results]
         assert bws[0] < bws[1] < bws[2]
+
+    def test_rma_throughput_sees_a_misplaced_page(self, machine):
+        """A read served from the wrong window offset fails the sweep."""
+
+        class ShiftedReads:
+            """libscif whose reads under 1 MiB land one page too far in."""
+
+            def __init__(self, lib):
+                self.lib = lib
+
+            def __getattr__(self, name):
+                return getattr(self.lib, name)
+
+            def vreadfrom(self, ep, addr, size, roff, *args):
+                shift = 4096 if size < MB else 0
+                return self.lib.vreadfrom(ep, addr, size, roff + shift, *args)
+
+        native = ClientContext.native(machine)
+        ctx = ClientContext(ShiftedReads(native.lib), native.process,
+                            native.spawn, native.label)
+        with pytest.raises(SimError, match="RMA payload corrupted: 65536-byte read, page at 0"):
+            rma_read_throughput(machine, ctx, [64 * 1024, 2 * MB])
 
     def test_contexts_have_labels(self, machine):
         vm = machine.create_vm("vm0")
